@@ -142,6 +142,25 @@ fn bench_query_paths(c: &mut Criterion) {
     g.bench_function("full_pick_25pct", |b| {
         b.iter(|| system.pick_outcome(&query, 0.25, &mut rng))
     });
+
+    // The default picker (funnel, outliers, feature exclusions) on a
+    // GROUP BY query that clusters: the serving path's pick on a warm
+    // artifact cache, which runs only the seeded half of Algorithm 1.
+    let system = ds.train_system(Ps3Config::default().with_seed(1));
+    let grouped = ds
+        .test_queries
+        .iter()
+        .find(|q| {
+            !q.group_by.is_empty()
+                && system
+                    .pick_outcome(q, 0.25, &mut StdRng::seed_from_u64(1))
+                    .clustering_ms
+                    > 0.0
+        })
+        .expect("a GROUP BY test query that clusters");
+    g.bench_function("full_pick_default", |b| {
+        b.iter(|| system.pick_outcome(grouped, 0.25, &mut rng))
+    });
     g.finish();
 }
 

@@ -22,19 +22,14 @@ pub fn median_exemplar(points: &[Vec<f64>], cluster: &[usize]) -> usize {
         return cluster[0];
     }
     let dim = points[cluster[0]].len();
-    let mut median = vec![0.0; dim];
     let mut scratch: Vec<f64> = Vec::with_capacity(cluster.len());
-    for (d, m) in median.iter_mut().enumerate() {
-        scratch.clear();
-        scratch.extend(cluster.iter().map(|&i| points[i][d]));
-        scratch.sort_by(f64::total_cmp);
-        let mid = scratch.len() / 2;
-        *m = if scratch.len() % 2 == 1 {
-            scratch[mid]
-        } else {
-            0.5 * (scratch[mid - 1] + scratch[mid])
-        };
-    }
+    let median: Vec<f64> = (0..dim)
+        .map(|d| {
+            scratch.clear();
+            scratch.extend(cluster.iter().map(|&i| points[i][d]));
+            median_of(&mut scratch)
+        })
+        .collect();
     cluster
         .iter()
         .copied()
@@ -46,6 +41,23 @@ pub fn median_exemplar(points: &[Vec<f64>], cluster: &[usize]) -> usize {
         .expect("non-empty cluster")
 }
 
+/// The median of non-empty `values` under [`f64::total_cmp`] (the mean of
+/// the two middle values for even lengths), reordering `values`: the
+/// same bits as the middle of a full sort, found by selection.
+fn median_of(values: &mut [f64]) -> f64 {
+    let (len, mid) = (values.len(), values.len() / 2);
+    let (left, &mut upper, _) = values.select_nth_unstable_by(mid, f64::total_cmp);
+    if len % 2 == 1 {
+        return upper;
+    }
+    let lower = left
+        .iter()
+        .copied()
+        .max_by(f64::total_cmp)
+        .expect("even length >= 2");
+    0.5 * (lower + upper)
+}
+
 /// A uniform random member (the unbiased estimator of Appendix D.1).
 pub fn random_exemplar(cluster: &[usize], rng: &mut StdRng) -> usize {
     assert!(!cluster.is_empty(), "empty cluster");
@@ -55,7 +67,67 @@ pub fn random_exemplar(cluster: &[usize], rng: &mut StdRng) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::SeedableRng;
+
+    /// The median as a full sort finds it.
+    fn sorted_median(values: &[f64]) -> f64 {
+        let mut sorted = values.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let mid = sorted.len() / 2;
+        if sorted.len() % 2 == 1 {
+            sorted[mid]
+        } else {
+            0.5 * (sorted[mid - 1] + sorted[mid])
+        }
+    }
+
+    /// Values rich in NaNs, signed zeros and duplicates.
+    fn tricky_f64() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            Just(f64::NAN),
+            Just(-f64::NAN),
+            Just(0.0),
+            Just(-0.0),
+            Just(f64::INFINITY),
+            (-3i32..4).prop_map(f64::from),
+            any::<f64>(),
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn selection_median_matches_sort(values in prop::collection::vec(tricky_f64(), 1..100)) {
+            let want = sorted_median(&values);
+            let got = median_of(&mut values.clone());
+            prop_assert_eq!(got.to_bits(), want.to_bits());
+        }
+
+        #[test]
+        fn exemplar_matches_sort_median(
+            points in prop::collection::vec(prop::collection::vec(tricky_f64(), 3), 1..40),
+        ) {
+            // The exemplar nearest the sort-based median, as before.
+            let cluster: Vec<usize> = (0..points.len()).collect();
+            let median: Vec<f64> = (0..3)
+                .map(|d| sorted_median(&points.iter().map(|p| p[d]).collect::<Vec<_>>()))
+                .collect();
+            let want = if cluster.len() == 1 {
+                0
+            } else {
+                cluster
+                    .iter()
+                    .copied()
+                    .min_by(|&a, &b| {
+                        dist_sq(&points[a], &median)
+                            .total_cmp(&dist_sq(&points[b], &median))
+                            .then(a.cmp(&b))
+                    })
+                    .expect("non-empty")
+            };
+            prop_assert_eq!(median_exemplar(&points, &cluster), want);
+        }
+    }
 
     #[test]
     fn median_member_wins() {

@@ -46,7 +46,7 @@ pub mod train;
 pub use config::{ExemplarRule, Ps3Config};
 pub use estimator::{AggError, ErrorEstimate};
 pub use persist::{freeze, thaw};
-pub use picker::{PickOutcome, Picker};
+pub use picker::{PickOutcome, PickPlan, Picker};
 pub use planner::{Budget, BudgetPlan, PlannerStats, FALLBACK_FRAC, PLAN_GRID};
 pub use router::{
     RouteError, Router, RouterBuilder, RouterStats, TableId, TableRoute, Tenant, Ticket,

@@ -1,6 +1,16 @@
 //! Algorithm 1: the full partition picker.
+//!
+//! A pick splits into two halves. [`PickPlan`] holds everything that does
+//! not depend on the seed: the selectivity filter's candidates, the ordered
+//! outlier list (§4.4), the importance groups of the funnel (§4.3), and each
+//! group's feature rows projected onto its live dimensions. The seeded half
+//! caps the outliers by the budget, allocates the rest across groups,
+//! clusters and picks exemplars. The serving path keeps one plan per query
+//! shape beside its cached artifacts, so a repeated shape runs only the
+//! seeded half; every other pick builds a one-off plan.
 
-use std::collections::HashSet;
+use std::borrow::Cow;
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use rand::rngs::StdRng;
@@ -34,6 +44,34 @@ pub struct PickOutcome {
     pub num_outliers: usize,
 }
 
+/// The seed-independent half of Algorithm 1 for one query against one
+/// trained system: a pure function of the query, its normalized feature
+/// rows, the trained models and the picker toggles. One plan serves picks
+/// under any budget and seed, each drawing the same random numbers a pick
+/// without a cached plan would.
+#[derive(Debug)]
+pub struct PickPlan {
+    /// Partition count of the table the plan was built for.
+    num_partitions: usize,
+    /// Outlying candidates, smallest bitmap groups first; empty when the
+    /// outlier stage is off or the query has no GROUP BY.
+    outliers: Vec<usize>,
+    /// The funnel's importance groups over all candidates, least important
+    /// first, each in candidate order.
+    groups: Vec<PlanGroup>,
+    /// Whether groups are clustered (else sampled uniformly): the
+    /// clustering toggle and the complex-predicate fallback (Appendix B.1).
+    cluster_ok: bool,
+}
+
+/// One importance group and, once a run first clusters it, its members'
+/// rows projected onto the group's live dimensions.
+#[derive(Debug)]
+struct PlanGroup {
+    members: Vec<usize>,
+    points: OnceLock<Vec<Vec<f64>>>,
+}
+
 /// The query-time picker: borrows the trained state and the statistics.
 pub struct Picker<'a> {
     /// Trained models + normalizer + config.
@@ -54,7 +92,7 @@ impl Picker<'_> {
     /// Run Algorithm 1 with precomputed raw features, normalizing them
     /// here. `oracle` substitutes true contributions for the learned models
     /// (Appendix C.2). The serving path pre-normalizes once per query and
-    /// calls [`Picker::pick_normalized`] instead.
+    /// keeps the query's [`PickPlan`] instead.
     pub fn pick_with_features(
         &self,
         query: &Query,
@@ -69,10 +107,8 @@ impl Picker<'_> {
     }
 
     /// Run Algorithm 1 with raw features **and** their normalized rows
-    /// (`rows[p]` = normalized feature row of partition `p`). Borrows both
-    /// read-only — the per-pick matrix clone + renormalization is gone;
-    /// Algorithm-3 feature exclusions are applied as a clustering-time
-    /// projection instead of rewriting the rows.
+    /// (`rows[p]` = normalized feature row of partition `p`): build a
+    /// one-off [`PickPlan`] and run it. `total_ms` covers both halves.
     pub fn pick_normalized(
         &self,
         query: &Query,
@@ -82,53 +118,50 @@ impl Picker<'_> {
         rng: &mut StdRng,
         oracle: Option<&[f64]>,
     ) -> PickOutcome {
-        let start = Instant::now();
+        let started = Instant::now();
+        let plan = self.plan(query, features, rows, oracle);
+        self.run(&plan, rows, budget, rng, started)
+    }
+
+    /// The seed-independent half of Algorithm 1: the selectivity filter,
+    /// outlier detection and the importance funnel over `rows` (normalized,
+    /// `rows[p]` for partition `p`). `oracle` substitutes true
+    /// contributions for the learned models (Appendix C.2).
+    pub(crate) fn plan(
+        &self,
+        query: &Query,
+        features: &QueryFeatures,
+        rows: &[Vec<f64>],
+        oracle: Option<&[f64]>,
+    ) -> PickPlan {
         let cfg = &self.trained.config;
-        let n_parts = features.num_partitions();
-        let budget = budget.min(n_parts);
+        let num_partitions = features.num_partitions();
 
         // Selectivity filter: perfect recall, so dropping upper == 0 is safe.
         let candidates: Vec<usize> = if cfg.use_filter {
-            (0..n_parts)
+            (0..num_partitions)
                 .filter(|&p| features.selectivity_upper(p) > 0.0)
                 .collect()
         } else {
-            (0..n_parts).collect()
+            (0..num_partitions).collect()
         };
 
-        let mut selection: Vec<WeightedPart> = Vec::with_capacity(budget);
+        let outliers = if cfg.use_outliers && !query.group_by.is_empty() {
+            find_outliers(
+                self.stats,
+                &query.group_by,
+                &candidates,
+                cfg.outlier_abs_limit,
+                cfg.outlier_rel_limit,
+            )
+        } else {
+            Vec::new()
+        };
 
-        // Outliers (§4.4): weight 1, capped at outlier_budget_frac · budget.
-        let mut chosen_outliers: Vec<usize> = Vec::new();
-        if cfg.use_outliers && !query.group_by.is_empty() && budget > 0 {
-            let cap = (cfg.outlier_budget_frac * budget as f64).floor() as usize;
-            if cap > 0 {
-                let outliers = find_outliers(
-                    self.stats,
-                    &query.group_by,
-                    &candidates,
-                    cfg.outlier_abs_limit,
-                    cfg.outlier_rel_limit,
-                );
-                chosen_outliers = outliers.into_iter().take(cap).collect();
-                for &p in &chosen_outliers {
-                    selection.push(WeightedPart {
-                        partition: PartitionId(p),
-                        weight: 1.0,
-                    });
-                }
-            }
-        }
-        let taken: HashSet<usize> = chosen_outliers.iter().copied().collect();
-        let inliers: Vec<usize> = candidates
-            .iter()
-            .copied()
-            .filter(|p| !taken.contains(p))
-            .collect();
-        let rest_budget = budget - chosen_outliers.len();
-
-        // Importance funnel (Algorithm 2) — reads the normalized rows.
-        let groups: Vec<Vec<usize>> = if cfg.use_regressors {
+        // Importance funnel (Algorithm 2). Each partition's pass/fail
+        // decisions depend only on its own row, so groups over all
+        // candidates, filtered later, equal groups over any subset.
+        let groups = if cfg.use_regressors {
             let source = match oracle {
                 Some(contributions) => ImportanceSource::Oracle {
                     contributions,
@@ -136,108 +169,168 @@ impl Picker<'_> {
                 },
                 None => ImportanceSource::Learned(&self.trained.models),
             };
-            importance_groups(&inliers, rows, &source)
+            importance_groups(&candidates, rows, &source)
         } else {
-            vec![inliers]
+            vec![candidates]
         };
-        let group_sizes: Vec<usize> = groups.iter().map(Vec::len).collect();
-        let alloc = allocate_samples(&group_sizes, rest_budget, cfg.alpha);
 
         // Clustering fallback: very complex predicates make the features
         // unrepresentative (Appendix B.1).
         let clause_count = query.predicate.as_ref().map_or(0, |p| p.clause_count());
-        let cluster_ok = cfg.use_clustering && clause_count <= cfg.fallback_clause_limit;
+        PickPlan {
+            num_partitions,
+            outliers,
+            groups: groups
+                .into_iter()
+                .map(|members| PlanGroup {
+                    members,
+                    points: OnceLock::new(),
+                })
+                .collect(),
+            cluster_ok: cfg.use_clustering && clause_count <= cfg.fallback_clause_limit,
+        }
+    }
 
-        // Algorithm-3 feature exclusions apply only to clustering (the
-        // funnel wants the full vectors): they are projected away inside
-        // `cluster_select` via the precomputed dimension mask, which is
-        // distance-identical to the old row-zeroing without touching rows.
-        let excluded_dims: &[bool] = if cluster_ok {
-            &self.trained.excluded_dims
+    /// The seeded half of Algorithm 1 over a `plan` built from the same
+    /// `rows`: outliers up to `outlier_budget_frac · budget` at weight 1,
+    /// the rest of the budget allocated across importance groups, each
+    /// group clustered (or sampled uniformly) into weighted exemplars.
+    /// `total_ms` counts from `started`, so it includes whatever the caller
+    /// did for this pick before (such as building the plan).
+    pub(crate) fn run(
+        &self,
+        plan: &PickPlan,
+        rows: &[Vec<f64>],
+        budget: usize,
+        rng: &mut StdRng,
+        started: Instant,
+    ) -> PickOutcome {
+        let cfg = &self.trained.config;
+        let budget = budget.min(plan.num_partitions);
+
+        // Outliers (§4.4): weight 1, capped at outlier_budget_frac · budget.
+        let cap = if budget > 0 {
+            (cfg.outlier_budget_frac * budget as f64).floor() as usize
         } else {
-            &[]
+            0
         };
+        let chosen = &plan.outliers[..cap.min(plan.outliers.len())];
+        let mut selection: Vec<WeightedPart> = Vec::with_capacity(budget);
+        selection.extend(chosen.iter().map(|&p| WeightedPart {
+            partition: PartitionId(p),
+            weight: 1.0,
+        }));
+
+        // Groups over the remaining candidates, still in candidate order.
+        let groups: Vec<Cow<'_, [usize]>> = if chosen.is_empty() {
+            plan.groups
+                .iter()
+                .map(|g| Cow::Borrowed(g.members.as_slice()))
+                .collect()
+        } else {
+            let mut taken = vec![false; plan.num_partitions];
+            for &p in chosen {
+                taken[p] = true;
+            }
+            plan.groups
+                .iter()
+                .map(|g| g.members.iter().copied().filter(|&p| !taken[p]).collect())
+                .collect()
+        };
+        let group_sizes: Vec<usize> = groups.iter().map(|g| g.len()).collect();
+        let alloc = allocate_samples(&group_sizes, budget - chosen.len(), cfg.alpha);
 
         let mut clustering_ms = 0.0;
-        for (group, &k) in groups.iter().zip(&alloc) {
+        for ((plan_group, group), &k) in plan.groups.iter().zip(&groups).zip(&alloc) {
             if k == 0 || group.is_empty() {
                 continue;
             }
             if k >= group.len() {
-                for &p in group {
-                    selection.push(WeightedPart {
-                        partition: PartitionId(p),
-                        weight: 1.0,
-                    });
-                }
-            } else if cluster_ok {
+                selection.extend(group.iter().map(|&p| WeightedPart {
+                    partition: PartitionId(p),
+                    weight: 1.0,
+                }));
+            } else if plan.cluster_ok {
                 let t = Instant::now();
-                let picks = cluster_select(
+                // Algorithm-3 feature exclusions apply only to clustering
+                // (the funnel wants the full vectors). A group that lost
+                // outliers may have fewer live dimensions: project it anew.
+                let excluded = &self.trained.excluded_dims;
+                let points = if group.len() == plan_group.members.len() {
+                    let points = plan_group
+                        .points
+                        .get_or_init(|| project(group, rows, excluded));
+                    Cow::Borrowed(points.as_slice())
+                } else {
+                    Cow::Owned(project(group, rows, excluded))
+                };
+                selection.extend(cluster_points(
                     group,
-                    rows,
-                    excluded_dims,
+                    &points,
                     k,
                     cfg.cluster_algo,
                     cfg.estimator,
                     rng,
-                );
+                ));
                 clustering_ms += t.elapsed().as_secs_f64() * 1e3;
-                selection.extend(picks);
             } else {
-                let mut pool = group.clone();
+                let mut pool = group.to_vec();
                 pool.shuffle(rng);
                 pool.truncate(k);
                 let w = group.len() as f64 / k as f64;
-                for p in pool {
-                    selection.push(WeightedPart {
-                        partition: PartitionId(p),
-                        weight: w,
-                    });
-                }
+                selection.extend(pool.into_iter().map(|p| WeightedPart {
+                    partition: PartitionId(p),
+                    weight: w,
+                }));
             }
         }
 
         PickOutcome {
             selection,
-            total_ms: start.elapsed().as_secs_f64() * 1e3,
+            total_ms: started.elapsed().as_secs_f64() * 1e3,
             clustering_ms,
             group_sizes,
-            num_outliers: chosen_outliers.len(),
+            num_outliers: chosen.len(),
         }
     }
 }
 
-/// Cluster one importance group into `k` clusters and emit one weighted
-/// exemplar per cluster (§4.2).
-///
-/// Projects away `excluded` dimensions (the Algorithm-3 feature
-/// exclusions; pass `&[]` for none) and dimensions that are zero across
-/// the whole group — the query mask zeroes most columns, so this cuts the
-/// distance cost by an order of magnitude without changing any distance.
-pub fn cluster_select(
-    group: &[usize],
-    rows: &[Vec<f64>],
-    excluded: &[bool],
-    k: usize,
-    algo: ClusterAlgo,
-    estimator: ExemplarRule,
-    rng: &mut StdRng,
-) -> Vec<WeightedPart> {
+/// `rows` of the `group` members projected onto the group's live
+/// dimensions: those not `excluded` (the Algorithm-3 feature exclusions;
+/// `&[]` for none) and not zero across the whole group. The query mask
+/// zeroes most columns, so this cuts the distance cost by an order of
+/// magnitude without changing any distance. Dimensions stay per group:
+/// a wider projection changes lane alignment, and with it the bits of
+/// the clustering distances.
+fn project(group: &[usize], rows: &[Vec<f64>], excluded: &[bool]) -> Vec<Vec<f64>> {
     let dim = rows.first().map_or(0, Vec::len);
     let live_dims: Vec<usize> = (0..dim)
         .filter(|&d| !excluded.get(d).copied().unwrap_or(false))
         .filter(|&d| group.iter().any(|&p| rows[p][d] != 0.0))
         .collect();
-    let points: Vec<Vec<f64>> = group
+    group
         .iter()
         .map(|&p| live_dims.iter().map(|&d| rows[p][d]).collect())
-        .collect();
-    let clusters = cluster(&points, k, algo, rng);
+        .collect()
+}
+
+/// Cluster one importance group into `k` clusters and emit one weighted
+/// exemplar per cluster (§4.2). `points[i]` is the projected row of
+/// `group[i]`.
+fn cluster_points(
+    group: &[usize],
+    points: &[Vec<f64>],
+    k: usize,
+    algo: ClusterAlgo,
+    estimator: ExemplarRule,
+    rng: &mut StdRng,
+) -> Vec<WeightedPart> {
+    let clusters = cluster(points, k, algo, rng);
     clusters
         .iter()
         .map(|members| {
             let local = match estimator {
-                ExemplarRule::Median => median_exemplar(&points, members),
+                ExemplarRule::Median => median_exemplar(points, members),
                 ExemplarRule::Random => random_exemplar(members, rng),
             };
             WeightedPart {
@@ -248,10 +341,28 @@ pub fn cluster_select(
         .collect()
 }
 
+/// Cluster one importance group into `k` clusters and emit one weighted
+/// exemplar per cluster (§4.2). The group's `rows` are first projected
+/// onto its live dimensions: not `excluded` (the Algorithm-3 feature
+/// exclusions; `&[]` for none) and not zero across the whole group.
+pub fn cluster_select(
+    group: &[usize],
+    rows: &[Vec<f64>],
+    excluded: &[bool],
+    k: usize,
+    algo: ClusterAlgo,
+    estimator: ExemplarRule,
+    rng: &mut StdRng,
+) -> Vec<WeightedPart> {
+    let points = project(group, rows, excluded);
+    cluster_points(group, &points, k, algo, estimator, rng)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::SeedableRng;
+    use std::collections::HashSet;
 
     #[test]
     fn cluster_select_weights_sum_to_group_size() {

@@ -864,7 +864,7 @@ impl Router {
     /// Answer synchronously on the caller, through the answer cache but
     /// bypassing the queue — the single-table [`crate::serve::ServeHandle`]
     /// path. Bit-identical to the queued path and to a direct
-    /// `Ps3System::answer_on` with a [`query_rng`]-derived RNG. Declarative
+    /// `Ps3System::answer_on` with a [`query_rng`](crate::query_rng)-derived RNG. Declarative
     /// budgets are planned first; [`Self::answer_planned`] additionally
     /// returns the plan.
     pub fn answer_now(&self, table: TableId, req: &QueryRequest) -> Arc<AnswerOutcome> {

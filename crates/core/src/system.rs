@@ -15,7 +15,8 @@
 //! diagnostics path ([`Ps3System::pick_outcome`]) sees exactly the features
 //! the serving path used.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -33,7 +34,7 @@ use ps3_storage::PartitionedTable;
 use crate::baselines::{random_filter_selection, random_selection, LssModel};
 use crate::config::Ps3Config;
 use crate::estimator::{estimate_from_totals, AggError, ErrorEstimate};
-use crate::picker::{PickOutcome, Picker};
+use crate::picker::{PickOutcome, PickPlan, Picker};
 use crate::train::{TrainedPs3, TrainingData};
 
 /// The sampling methods compared throughout the evaluation (§5.1.3).
@@ -159,8 +160,10 @@ fn global_answer(v: f64) -> QueryAnswer {
 
 /// Everything the serving path derives from one query shape, computed once
 /// per [`Query::fingerprint`] and cached: the raw masked feature matrix,
-/// its normalized rows (what the funnel, LSS and clustering consume), and
-/// the query compiled to columnar kernels (what `execute_partition` runs).
+/// its normalized rows (what the funnel, LSS and clustering consume), the
+/// query compiled to columnar kernels (what `execute_partition` runs), and
+/// — built by the first PS3 pick that uses these artifacts — the
+/// seed-independent half of that pick ([`PickPlan`]).
 #[derive(Debug)]
 pub struct QueryArtifacts {
     /// Raw masked features with per-partition selectivity slots.
@@ -169,6 +172,24 @@ pub struct QueryArtifacts {
     pub normalized: Vec<Vec<f64>>,
     /// The query lowered to kernel programs against this table.
     pub compiled: CompiledQuery,
+    /// The learned picker's plan for this query, built lazily.
+    plan: OnceLock<PickPlan>,
+}
+
+impl QueryArtifacts {
+    /// The pick plan, if a PS3 pick has built it.
+    pub fn pick_plan(&self) -> Option<&PickPlan> {
+        self.plan.get()
+    }
+}
+
+/// Where a PS3 pick takes its [`PickPlan`] from.
+enum PlanSource<'a> {
+    /// The query's cached artifacts: built on first use, then reused.
+    Cached(&'a OnceLock<PickPlan>),
+    /// A one-off plan, with `Some` oracle contributions in place of the
+    /// learned funnel (Appendix C.2).
+    Fresh(Option<&'a [f64]>),
 }
 
 /// A trained PS3 deployment over one partitioned table. Immutable after
@@ -179,7 +200,10 @@ pub struct Ps3System {
     pub pt: Arc<PartitionedTable>,
     /// Its summary statistics.
     pub stats: Arc<TableStats>,
-    /// Trained picker state.
+    /// Trained picker state. Cached artifacts (normalized rows, pick
+    /// plans) derive from it: change it only before the first query, or
+    /// only through paths that build their own plans
+    /// ([`Self::select_with_features`]).
     pub trained: TrainedPs3,
     /// Trained LSS baseline.
     pub lss: LssModel,
@@ -353,6 +377,7 @@ impl Ps3System {
                 features,
                 normalized,
                 compiled: CompiledQuery::compile(self.pt.table(), query),
+                plan: OnceLock::new(),
             })
         })
     }
@@ -367,10 +392,10 @@ impl Ps3System {
     /// Select partitions for `query` under `method` at `frac` of the data.
     ///
     /// `features` must be the raw [`QueryFeatures`] of this query; their
-    /// normalized rows are computed here per call. The serving path goes
-    /// through [`Self::artifacts_for`] instead, which caches the normalized
-    /// matrix. `oracle` optionally substitutes true contributions for the
-    /// learned funnel. All randomness is drawn from the caller's `rng`, so
+    /// normalized rows and PS3's [`PickPlan`] are computed here per call.
+    /// The serving path goes through [`Self::artifacts_for`] instead, which
+    /// caches both. `oracle` optionally substitutes true contributions for
+    /// the learned funnel. All randomness is drawn from the caller's `rng`, so
     /// the selection is a pure function of the arguments.
     pub fn select_with_features(
         &self,
@@ -390,20 +415,28 @@ impl Ps3System {
                 rows
             }
         };
-        self.select_prepared(query, features, &normalized, method, frac, oracle, rng)
+        self.select_prepared(
+            query,
+            features,
+            &normalized,
+            PlanSource::Fresh(oracle),
+            method,
+            frac,
+            rng,
+        )
     }
 
-    /// [`Self::select_with_features`] with the normalized rows supplied by
-    /// the caller (the cached-artifact fast path).
+    /// [`Self::select_with_features`] with the normalized rows and the
+    /// source of PS3's plan supplied by the caller.
     #[allow(clippy::too_many_arguments)]
     fn select_prepared(
         &self,
         query: &Query,
         features: &QueryFeatures,
         normalized: &[Vec<f64>],
+        plan: PlanSource<'_>,
         method: Method,
         frac: f64,
-        oracle: Option<&[f64]>,
         rng: &mut StdRng,
     ) -> (Vec<WeightedPart>, f64) {
         let budget = self.budget_partitions(frac);
@@ -424,34 +457,52 @@ impl Ps3System {
                 (sel, 0.0)
             }
             Method::Ps3 => {
-                let picker = Picker {
-                    trained: &self.trained,
-                    stats: &self.stats,
-                    pt: &self.pt,
-                };
-                let out = picker.pick_normalized(query, features, normalized, budget, rng, oracle);
+                let out = self.pick_prepared(query, features, normalized, plan, budget, rng);
                 (out.selection, out.total_ms)
             }
         }
     }
 
-    /// Full pick diagnostics for PS3 (Table 5 timing, Figure 4 lesion).
-    /// Features come from the same cache the serving path uses.
-    pub fn pick_outcome(&self, query: &Query, frac: f64, rng: &mut StdRng) -> PickOutcome {
-        let artifacts = self.artifacts_for(query);
-        let budget = self.budget_partitions(frac);
+    /// One PS3 pick of `budget` partitions; `total_ms` includes building
+    /// the plan when this pick builds it.
+    fn pick_prepared(
+        &self,
+        query: &Query,
+        features: &QueryFeatures,
+        normalized: &[Vec<f64>],
+        plan: PlanSource<'_>,
+        budget: usize,
+        rng: &mut StdRng,
+    ) -> PickOutcome {
+        let started = Instant::now();
         let picker = Picker {
             trained: &self.trained,
             stats: &self.stats,
             pt: &self.pt,
         };
-        picker.pick_normalized(
+        match plan {
+            PlanSource::Cached(cell) => {
+                let plan = cell.get_or_init(|| picker.plan(query, features, normalized, None));
+                picker.run(plan, normalized, budget, rng, started)
+            }
+            PlanSource::Fresh(oracle) => {
+                picker.pick_normalized(query, features, normalized, budget, rng, oracle)
+            }
+        }
+    }
+
+    /// Full pick diagnostics for PS3 (Table 5 timing, Figure 4 lesion).
+    /// Features and the pick plan come from the same cache the serving
+    /// path uses.
+    pub fn pick_outcome(&self, query: &Query, frac: f64, rng: &mut StdRng) -> PickOutcome {
+        let artifacts = self.artifacts_for(query);
+        self.pick_prepared(
             query,
             &artifacts.features,
             &artifacts.normalized,
-            budget,
+            PlanSource::Cached(&artifacts.plan),
+            self.budget_partitions(frac),
             rng,
-            None,
         )
     }
 
@@ -539,9 +590,9 @@ impl Ps3System {
             query,
             &artifacts.features,
             &artifacts.normalized,
+            PlanSource::Cached(&artifacts.plan),
             method,
             frac,
-            None,
             rng,
         );
         let (answer, totals) =
@@ -584,9 +635,9 @@ impl Ps3System {
             query,
             &artifacts.features,
             &artifacts.normalized,
+            PlanSource::Cached(&artifacts.plan),
             method,
             frac,
-            None,
             rng,
         );
         let funcs: Vec<AggFunc> = query.aggregates.iter().map(|a| a.func).collect();
@@ -690,9 +741,9 @@ impl Ps3System {
             &proxy,
             &artifacts.features,
             &artifacts.normalized,
+            PlanSource::Cached(&artifacts.plan),
             method,
             frac,
-            None,
             rng,
         );
         let compiled = CompiledSketchQuery::compile(self.pt.table(), query);

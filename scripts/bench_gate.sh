@@ -70,6 +70,7 @@ cluster/assign_step_simd
 train/train_cold
 train/retrain_warm
 picker/full_pick_25pct
+picker/full_pick_default
 serve/single_thread
 serve/multi_thread
 serve_sweep/six_budget_sweep_cached
