@@ -161,6 +161,24 @@ fn bench_query_paths(c: &mut Criterion) {
     g.bench_function("full_pick_default", |b| {
         b.iter(|| system.pick_outcome(grouped, 0.25, &mut rng))
     });
+
+    // A never-seen shape per pick, as ad-hoc traffic sends: a one-entry
+    // artifact cache and two alternating Aria shapes, so every pick pays
+    // the feature miss, the compile, the normalized rows, the plan and
+    // the seeded run.
+    let aria = DatasetConfig::new(DatasetKind::Aria, ScaleProfile::Tiny).build(1);
+    let mut cfg = Ps3Config::default().with_seed(1);
+    cfg.feature_cache_cap = 1;
+    let system = aria.train_system(cfg);
+    let shapes = [&aria.test_queries[0], &aria.test_queries[1]];
+    assert_ne!(shapes[0].fingerprint(), shapes[1].fingerprint());
+    let mut turn = 0usize;
+    g.bench_function("cold_shape_pick", |b| {
+        b.iter(|| {
+            turn += 1;
+            system.pick_outcome(shapes[turn % 2], 0.25, &mut rng)
+        })
+    });
     g.finish();
 }
 

@@ -5,12 +5,12 @@
 //! outlier list (§4.4), the importance groups of the funnel (§4.3), and each
 //! group's feature rows projected onto its live dimensions. The seeded half
 //! caps the outliers by the budget, allocates the rest across groups,
-//! clusters and picks exemplars. The serving path keeps one plan per query
-//! shape beside its cached artifacts, so a repeated shape runs only the
-//! seeded half; every other pick builds a one-off plan.
+//! clusters and picks exemplars. It reads no feature rows: the plan's
+//! projections are all it clusters. The serving path keeps one plan per
+//! query shape beside its cached artifacts, so a repeated shape runs only
+//! the seeded half; every other pick builds a one-off plan.
 
 use std::borrow::Cow;
-use std::sync::OnceLock;
 use std::time::Instant;
 
 use rand::rngs::StdRng;
@@ -18,7 +18,7 @@ use rand::seq::SliceRandom;
 
 use ps3_cluster::{cluster, median_exemplar, random_exemplar, ClusterAlgo};
 use ps3_query::{Query, WeightedPart};
-use ps3_stats::{QueryFeatures, TableStats};
+use ps3_stats::{NormalizedStatics, QueryFeatures, TableStats};
 use ps3_storage::{PartitionId, PartitionedTable};
 
 use crate::allocate::allocate_samples;
@@ -64,12 +64,14 @@ pub struct PickPlan {
     cluster_ok: bool,
 }
 
-/// One importance group and, once a run first clusters it, its members'
-/// rows projected onto the group's live dimensions.
+/// One importance group and, when the plan may cluster, its members' rows
+/// projected onto the group's live dimensions.
 #[derive(Debug)]
 struct PlanGroup {
     members: Vec<usize>,
-    points: OnceLock<Vec<Vec<f64>>>,
+    /// `points[i]` = the projected row of `members[i]`; empty when the
+    /// plan never clusters.
+    points: Vec<Vec<f64>>,
 }
 
 /// The query-time picker: borrows the trained state and the statistics.
@@ -78,6 +80,9 @@ pub struct Picker<'a> {
     pub trained: &'a TrainedPs3,
     /// Table statistics (bitmaps for outlier detection).
     pub stats: &'a TableStats,
+    /// The static rows through `trained.normalizer`, which query rows are
+    /// normalized from.
+    pub statics: &'a NormalizedStatics,
     /// The partitioned table (schema + dictionaries for selectivity).
     pub pt: &'a PartitionedTable,
 }
@@ -90,9 +95,9 @@ impl Picker<'_> {
     }
 
     /// Run Algorithm 1 with precomputed raw features, normalizing them
-    /// here. `oracle` substitutes true contributions for the learned models
-    /// (Appendix C.2). The serving path pre-normalizes once per query and
-    /// keeps the query's [`PickPlan`] instead.
+    /// here from [`Self::statics`]. `oracle` substitutes true contributions
+    /// for the learned models (Appendix C.2). The serving path keeps the
+    /// query's [`PickPlan`] instead.
     pub fn pick_with_features(
         &self,
         query: &Query,
@@ -101,8 +106,7 @@ impl Picker<'_> {
         rng: &mut StdRng,
         oracle: Option<&[f64]>,
     ) -> PickOutcome {
-        let mut rows = features.rows.clone();
-        self.trained.normalizer.apply_matrix(&mut rows);
+        let rows = self.statics.query_rows(query, features);
         self.pick_normalized(query, features, &rows, budget, rng, oracle)
     }
 
@@ -120,13 +124,14 @@ impl Picker<'_> {
     ) -> PickOutcome {
         let started = Instant::now();
         let plan = self.plan(query, features, rows, oracle);
-        self.run(&plan, rows, budget, rng, started)
+        self.run(&plan, budget, rng, started)
     }
 
     /// The seed-independent half of Algorithm 1: the selectivity filter,
     /// outlier detection and the importance funnel over `rows` (normalized,
-    /// `rows[p]` for partition `p`). `oracle` substitutes true
-    /// contributions for the learned models (Appendix C.2).
+    /// `rows[p]` for partition `p`), and, when the plan may cluster, every
+    /// group's projection. `oracle` substitutes true contributions for the
+    /// learned models (Appendix C.2).
     pub(crate) fn plan(
         &self,
         query: &Query,
@@ -177,30 +182,37 @@ impl Picker<'_> {
         // Clustering fallback: very complex predicates make the features
         // unrepresentative (Appendix B.1).
         let clause_count = query.predicate.as_ref().map_or(0, |p| p.clause_count());
+        let cluster_ok = cfg.use_clustering && clause_count <= cfg.fallback_clause_limit;
+        // Algorithm-3 feature exclusions apply only to clustering (the
+        // funnel wants the full vectors).
+        let excluded = &self.trained.excluded_dims;
         PickPlan {
             num_partitions,
             outliers,
             groups: groups
                 .into_iter()
                 .map(|members| PlanGroup {
+                    points: if cluster_ok {
+                        project(&members, rows, excluded)
+                    } else {
+                        Vec::new()
+                    },
                     members,
-                    points: OnceLock::new(),
                 })
                 .collect(),
-            cluster_ok: cfg.use_clustering && clause_count <= cfg.fallback_clause_limit,
+            cluster_ok,
         }
     }
 
-    /// The seeded half of Algorithm 1 over a `plan` built from the same
-    /// `rows`: outliers up to `outlier_budget_frac · budget` at weight 1,
-    /// the rest of the budget allocated across importance groups, each
-    /// group clustered (or sampled uniformly) into weighted exemplars.
+    /// The seeded half of Algorithm 1 over `plan`: outliers up to
+    /// `outlier_budget_frac · budget` at weight 1, the rest of the budget
+    /// allocated across importance groups, each group clustered (or
+    /// sampled uniformly) into weighted exemplars.
     /// `total_ms` counts from `started`, so it includes whatever the caller
     /// did for this pick before (such as building the plan).
     pub(crate) fn run(
         &self,
         plan: &PickPlan,
-        rows: &[Vec<f64>],
         budget: usize,
         rng: &mut StdRng,
         started: Instant,
@@ -220,6 +232,10 @@ impl Picker<'_> {
             partition: PartitionId(p),
             weight: 1.0,
         }));
+        let mut taken = vec![false; plan.num_partitions];
+        for &p in chosen {
+            taken[p] = true;
+        }
 
         // Groups over the remaining candidates, still in candidate order.
         let groups: Vec<Cow<'_, [usize]>> = if chosen.is_empty() {
@@ -228,10 +244,6 @@ impl Picker<'_> {
                 .map(|g| Cow::Borrowed(g.members.as_slice()))
                 .collect()
         } else {
-            let mut taken = vec![false; plan.num_partitions];
-            for &p in chosen {
-                taken[p] = true;
-            }
             plan.groups
                 .iter()
                 .map(|g| g.members.iter().copied().filter(|&p| !taken[p]).collect())
@@ -252,17 +264,14 @@ impl Picker<'_> {
                 }));
             } else if plan.cluster_ok {
                 let t = Instant::now();
-                // Algorithm-3 feature exclusions apply only to clustering
-                // (the funnel wants the full vectors). A group that lost
-                // outliers may have fewer live dimensions: project it anew.
-                let excluded = &self.trained.excluded_dims;
                 let points = if group.len() == plan_group.members.len() {
-                    let points = plan_group
-                        .points
-                        .get_or_init(|| project(group, rows, excluded));
-                    Cow::Borrowed(points.as_slice())
+                    Cow::Borrowed(plan_group.points.as_slice())
                 } else {
-                    Cow::Owned(project(group, rows, excluded))
+                    Cow::Owned(trim_projection(
+                        &plan_group.members,
+                        &plan_group.points,
+                        &taken,
+                    ))
                 };
                 selection.extend(cluster_points(
                     group,
@@ -311,6 +320,27 @@ fn project(group: &[usize], rows: &[Vec<f64>], excluded: &[bool]) -> Vec<Vec<f64
     group
         .iter()
         .map(|&p| live_dims.iter().map(|&d| rows[p][d]).collect())
+        .collect()
+}
+
+/// The projection of a group's members that are not `taken`, cut from the
+/// whole group's projection `points` (`points[i]` for `members[i]`): the
+/// kept rows in order, then only the columns still non-zero among them.
+/// Dropping members can only zero more dimensions, so this equals
+/// [`project`] over the kept members: same dimensions, order and bits.
+fn trim_projection(members: &[usize], points: &[Vec<f64>], taken: &[bool]) -> Vec<Vec<f64>> {
+    let kept: Vec<&Vec<f64>> = members
+        .iter()
+        .zip(points)
+        .filter(|&(&p, _)| !taken[p])
+        .map(|(_, row)| row)
+        .collect();
+    let dim = points.first().map_or(0, Vec::len);
+    let live_dims: Vec<usize> = (0..dim)
+        .filter(|&d| kept.iter().any(|row| row[d] != 0.0))
+        .collect();
+    kept.iter()
+        .map(|row| live_dims.iter().map(|&d| row[d]).collect())
         .collect()
 }
 

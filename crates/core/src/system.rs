@@ -28,7 +28,7 @@ use ps3_query::{
 };
 use ps3_runtime::{CacheStats, SharedLru, ThreadPool};
 use ps3_sketch::{AnswerSketch, DistinctSketch};
-use ps3_stats::{QueryFeatures, TableStats};
+use ps3_stats::{NormalizedStatics, QueryFeatures, TableStats};
 use ps3_storage::PartitionedTable;
 
 use crate::baselines::{random_filter_selection, random_selection, LssModel};
@@ -159,17 +159,17 @@ fn global_answer(v: f64) -> QueryAnswer {
 }
 
 /// Everything the serving path derives from one query shape, computed once
-/// per [`Query::fingerprint`] and cached: the raw masked feature matrix,
-/// its normalized rows (what the funnel, LSS and clustering consume), the
+/// per [`Query::fingerprint`] and cached: the raw masked feature matrix, the
 /// query compiled to columnar kernels (what `execute_partition` runs), and
 /// — built by the first PS3 pick that uses these artifacts — the
-/// seed-independent half of that pick ([`PickPlan`]).
+/// seed-independent half of that pick ([`PickPlan`]), which holds every
+/// group projection a pick may cluster. Normalized rows are not kept: that
+/// first pick assembles them from the system's [`NormalizedStatics`] to
+/// build the plan, and an LSS pick assembles them per call.
 #[derive(Debug)]
 pub struct QueryArtifacts {
     /// Raw masked features with per-partition selectivity slots.
     pub features: QueryFeatures,
-    /// `features.rows` through the trained normalizer (Appendix B).
-    pub normalized: Vec<Vec<f64>>,
     /// The query lowered to kernel programs against this table.
     pub compiled: CompiledQuery,
     /// The learned picker's plan for this query, built lazily.
@@ -200,9 +200,10 @@ pub struct Ps3System {
     pub pt: Arc<PartitionedTable>,
     /// Its summary statistics.
     pub stats: Arc<TableStats>,
-    /// Trained picker state. Cached artifacts (normalized rows, pick
-    /// plans) derive from it: change it only before the first query, or
-    /// only through paths that build their own plans
+    /// Trained picker state. The normalized statics are built from its
+    /// normalizer when the system is, so never replace the normalizer.
+    /// Cached pick plans derive from the rest: change `config` only before
+    /// the first query, or only through paths that build their own plans
     /// ([`Self::select_with_features`]).
     pub trained: TrainedPs3,
     /// Trained LSS baseline.
@@ -210,6 +211,9 @@ pub struct Ps3System {
     /// Cached training-workload execution (reused by the benches and
     /// shared, not recomputed, across warm retrain generations).
     pub training: Arc<TrainingData>,
+    /// The static feature rows through `trained.normalizer`, which every
+    /// query's normalized rows are assembled from.
+    statics: NormalizedStatics,
     /// Bounded per-query artifact cache, keyed by [`Query::fingerprint`].
     features: SharedLru<u64, Arc<QueryArtifacts>>,
 }
@@ -244,14 +248,12 @@ impl Ps3System {
         let feature_cache_cap = cfg.feature_cache_cap;
         let training = TrainingData::compute(&pt, &stats, train_queries, cfg.threads);
         let trained = TrainedPs3::train(&training, cfg.clone());
+        let statics = NormalizedStatics::build(&stats, &trained.normalizer);
         let normalized: Vec<Vec<Vec<f64>>> = training
-            .features
+            .queries
             .iter()
-            .map(|f| {
-                let mut m = f.rows.clone();
-                trained.normalizer.apply_matrix(&mut m);
-                m
-            })
+            .zip(&training.features)
+            .map(|(q, f)| statics.query_rows(q, f))
             .collect();
         let lss = LssModel::train(
             &training,
@@ -267,14 +269,17 @@ impl Ps3System {
             trained,
             lss,
             training: Arc::new(training),
+            statics,
             features: SharedLru::new(feature_cache_cap),
         }
     }
 
     /// Reassemble a system from already-trained parts (the thaw path in
     /// [`crate::persist`]). The feature LRU starts empty at the persisted
-    /// configuration's capacity; everything else is used as given, so a
-    /// system rebuilt from its own parts answers bit-identically.
+    /// configuration's capacity and the normalized statics are rebuilt from
+    /// `stats` and the trained normalizer; everything else is used as
+    /// given, so a system rebuilt from its own parts answers
+    /// bit-identically.
     pub fn from_parts(
         pt: Arc<PartitionedTable>,
         stats: Arc<TableStats>,
@@ -283,12 +288,14 @@ impl Ps3System {
         training: Arc<TrainingData>,
     ) -> Self {
         let feature_cache_cap = trained.config.feature_cache_cap;
+        let statics = NormalizedStatics::build(&stats, &trained.normalizer);
         Self {
             pt,
             stats,
             trained,
             lss,
             training,
+            statics,
             features: SharedLru::new(feature_cache_cap),
         }
     }
@@ -307,10 +314,11 @@ impl Ps3System {
 
     /// Warm incremental retrain: derive the next-generation system for
     /// (possibly grown) `pt`/`stats` from `prev` without re-executing the
-    /// training workload or re-fitting any model. Per training query, the
-    /// feature matrix is recomputed against the *new* table and pushed
-    /// through `prev`'s normalizer; the workload-pooled rows then warm-start
-    /// the partition strata from the previous centroids
+    /// training workload or re-fitting any model. The new table's static
+    /// rows go through `prev`'s normalizer once; per training query, the
+    /// feature matrix is recomputed against the *new* table and its
+    /// normalized rows assembled from them. The workload-pooled rows then
+    /// warm-start the partition strata from the previous centroids
     /// ([`TrainedPs3::retrain_from`]). Everything on the query-answer path
     /// (models, thresholds, normalizer, exclusions, LSS) carries over
     /// unchanged, so on an unchanged table the new system's answers are
@@ -320,15 +328,13 @@ impl Ps3System {
         pt: Arc<PartitionedTable>,
         stats: Arc<TableStats>,
     ) -> (Self, RetrainReport) {
+        let statics = NormalizedStatics::build(&stats, &prev.trained.normalizer);
         let normalized: Vec<Vec<Vec<f64>>> = ps3_runtime::fan_out(
             prev.trained.config.threads,
             prev.training.queries.len(),
             |qi| {
                 let q = &prev.training.queries[qi];
-                let features = QueryFeatures::compute(&stats, pt.table(), q);
-                let mut rows = features.rows;
-                prev.trained.normalizer.apply_matrix(&mut rows);
-                rows
+                statics.query_rows(q, &QueryFeatures::compute(&stats, pt.table(), q))
             },
         );
         let pooled = crate::train::pooled_partition_rows(&normalized);
@@ -343,6 +349,7 @@ impl Ps3System {
             trained,
             lss: prev.lss.clone(),
             training: Arc::clone(&prev.training),
+            statics,
             features: SharedLru::new(prev.trained.config.feature_cache_cap),
         };
         (system, report)
@@ -363,23 +370,26 @@ impl Ps3System {
         execute_table(&self.pt, query)
     }
 
-    /// Per-query artifacts (features + normalized rows + compiled kernels),
-    /// served from the bounded LRU cache. Both the serving path
-    /// ([`Self::answer`]) and the diagnostics path ([`Self::pick_outcome`])
-    /// resolve artifacts here, so they always agree; a budget sweep over
-    /// one query computes and compiles everything exactly once.
+    /// Per-query artifacts (raw features + compiled kernels, and the pick
+    /// plan once a PS3 pick builds it), served from the bounded LRU cache.
+    /// Both the serving path ([`Self::answer`]) and the diagnostics path
+    /// ([`Self::pick_outcome`]) resolve artifacts here, so they always
+    /// agree; a budget sweep over one query computes and compiles
+    /// everything exactly once.
     pub fn artifacts_for(&self, query: &Query) -> Arc<QueryArtifacts> {
         self.features.get_or_insert_with(query.fingerprint(), || {
-            let features = QueryFeatures::compute(&self.stats, self.pt.table(), query);
-            let mut normalized = features.rows.clone();
-            self.trained.normalizer.apply_matrix(&mut normalized);
             Arc::new(QueryArtifacts {
-                features,
-                normalized,
+                features: QueryFeatures::compute(&self.stats, self.pt.table(), query),
                 compiled: CompiledQuery::compile(self.pt.table(), query),
                 plan: OnceLock::new(),
             })
         })
+    }
+
+    /// The static feature rows through the trained normalizer, which every
+    /// query's normalized rows are assembled from.
+    pub fn normalized_statics(&self) -> &NormalizedStatics {
+        &self.statics
     }
 
     /// Hit/miss/occupancy counters of the artifact cache. `misses` equals
@@ -391,12 +401,12 @@ impl Ps3System {
 
     /// Select partitions for `query` under `method` at `frac` of the data.
     ///
-    /// `features` must be the raw [`QueryFeatures`] of this query; their
-    /// normalized rows and PS3's [`PickPlan`] are computed here per call.
-    /// The serving path goes through [`Self::artifacts_for`] instead, which
-    /// caches both. `oracle` optionally substitutes true contributions for
-    /// the learned funnel. All randomness is drawn from the caller's `rng`, so
-    /// the selection is a pure function of the arguments.
+    /// `features` must be the raw [`QueryFeatures`] of this query; PS3's
+    /// [`PickPlan`] is built here per call. The serving path goes through
+    /// [`Self::artifacts_for`] instead, which caches it. `oracle`
+    /// optionally substitutes true contributions for the learned funnel.
+    /// All randomness is drawn from the caller's `rng`, so the selection is
+    /// a pure function of the arguments.
     pub fn select_with_features(
         &self,
         query: &Query,
@@ -406,19 +416,9 @@ impl Ps3System {
         oracle: Option<&[f64]>,
         rng: &mut StdRng,
     ) -> (Vec<WeightedPart>, f64) {
-        let normalized = match method {
-            // Random and RandomFilter never read normalized rows.
-            Method::Random | Method::RandomFilter => Vec::new(),
-            Method::Lss | Method::Ps3 => {
-                let mut rows = features.rows.clone();
-                self.trained.normalizer.apply_matrix(&mut rows);
-                rows
-            }
-        };
         self.select_prepared(
             query,
             features,
-            &normalized,
             PlanSource::Fresh(oracle),
             method,
             frac,
@@ -426,14 +426,12 @@ impl Ps3System {
         )
     }
 
-    /// [`Self::select_with_features`] with the normalized rows and the
-    /// source of PS3's plan supplied by the caller.
-    #[allow(clippy::too_many_arguments)]
+    /// [`Self::select_with_features`] with the source of PS3's plan
+    /// supplied by the caller.
     fn select_prepared(
         &self,
         query: &Query,
         features: &QueryFeatures,
-        normalized: &[Vec<f64>],
         plan: PlanSource<'_>,
         method: Method,
         frac: f64,
@@ -453,23 +451,24 @@ impl Ps3System {
                 let candidates: Vec<usize> = (0..n)
                     .filter(|&p| features.selectivity_upper(p) > 0.0)
                     .collect();
-                let sel = self.lss.pick(normalized, &candidates, budget, frac, rng);
+                let rows = self.statics.query_rows(query, features);
+                let sel = self.lss.pick(&rows, &candidates, budget, frac, rng);
                 (sel, 0.0)
             }
             Method::Ps3 => {
-                let out = self.pick_prepared(query, features, normalized, plan, budget, rng);
+                let out = self.pick_prepared(query, features, plan, budget, rng);
                 (out.selection, out.total_ms)
             }
         }
     }
 
     /// One PS3 pick of `budget` partitions; `total_ms` includes building
-    /// the plan when this pick builds it.
+    /// the plan when this pick builds it (for a cached plan, also
+    /// assembling the normalized rows it is built from).
     fn pick_prepared(
         &self,
         query: &Query,
         features: &QueryFeatures,
-        normalized: &[Vec<f64>],
         plan: PlanSource<'_>,
         budget: usize,
         rng: &mut StdRng,
@@ -478,15 +477,19 @@ impl Ps3System {
         let picker = Picker {
             trained: &self.trained,
             stats: &self.stats,
+            statics: &self.statics,
             pt: &self.pt,
         };
         match plan {
             PlanSource::Cached(cell) => {
-                let plan = cell.get_or_init(|| picker.plan(query, features, normalized, None));
-                picker.run(plan, normalized, budget, rng, started)
+                let plan = cell.get_or_init(|| {
+                    let rows = self.statics.query_rows(query, features);
+                    picker.plan(query, features, &rows, None)
+                });
+                picker.run(plan, budget, rng, started)
             }
             PlanSource::Fresh(oracle) => {
-                picker.pick_normalized(query, features, normalized, budget, rng, oracle)
+                picker.pick_with_features(query, features, budget, rng, oracle)
             }
         }
     }
@@ -499,7 +502,6 @@ impl Ps3System {
         self.pick_prepared(
             query,
             &artifacts.features,
-            &artifacts.normalized,
             PlanSource::Cached(&artifacts.plan),
             self.budget_partitions(frac),
             rng,
@@ -589,7 +591,6 @@ impl Ps3System {
         let (selection, picker_ms) = self.select_prepared(
             query,
             &artifacts.features,
-            &artifacts.normalized,
             PlanSource::Cached(&artifacts.plan),
             method,
             frac,
@@ -634,7 +635,6 @@ impl Ps3System {
         let (selection, picker_ms) = self.select_prepared(
             query,
             &artifacts.features,
-            &artifacts.normalized,
             PlanSource::Cached(&artifacts.plan),
             method,
             frac,
@@ -740,7 +740,6 @@ impl Ps3System {
         let (selection, picker_ms) = self.select_prepared(
             &proxy,
             &artifacts.features,
-            &artifacts.normalized,
             PlanSource::Cached(&artifacts.plan),
             method,
             frac,

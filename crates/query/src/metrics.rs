@@ -5,8 +5,19 @@
 //!   `|est − true| / |true|`, counting missed groups as 1.
 //! * **Absolute error over true** — per aggregate, the mean absolute error
 //!   across groups divided by the mean true value, averaged over aggregates.
+//!
+//! Sums run over the truth's groups in ascending [`GroupKey`] order, so a
+//! metric's bits depend only on the answers, not on the hash order of their
+//! maps.
 
-use crate::exec::QueryAnswer;
+use crate::exec::{GroupKey, QueryAnswer};
+
+/// `answer`'s groups in ascending key order.
+fn sorted_groups(answer: &QueryAnswer) -> Vec<(&GroupKey, &Vec<f64>)> {
+    let mut groups: Vec<_> = answer.groups.iter().collect();
+    groups.sort_unstable_by(|a, b| a.0.cmp(b.0));
+    groups
+}
 
 /// Fraction of groups in `truth` that `estimate` misses. 0 for an empty truth.
 pub fn missed_groups(truth: &QueryAnswer, estimate: &QueryAnswer) -> f64 {
@@ -29,7 +40,7 @@ pub fn missed_groups(truth: &QueryAnswer, estimate: &QueryAnswer) -> f64 {
 pub fn avg_relative_error(truth: &QueryAnswer, estimate: &QueryAnswer) -> f64 {
     let mut total = 0.0;
     let mut n = 0usize;
-    for (key, tvals) in &truth.groups {
+    for (key, tvals) in sorted_groups(truth) {
         match estimate.groups.get(key) {
             None => {
                 total += tvals.len() as f64;
@@ -79,19 +90,17 @@ pub fn relative_error(truth: f64, estimate: f64) -> f64 {
 /// aggregates (§5.1.4). Missed groups contribute their full true value as
 /// absolute error.
 pub fn abs_error_over_true(truth: &QueryAnswer, estimate: &QueryAnswer) -> f64 {
-    if truth.groups.is_empty() {
-        return 0.0;
-    }
-    let num_aggs = truth.groups.values().next().map_or(0, Vec::len);
+    let groups = sorted_groups(truth);
+    let num_aggs = groups.first().map_or(0, |(_, tvals)| tvals.len());
     if num_aggs == 0 {
         return 0.0;
     }
-    let g = truth.groups.len() as f64;
+    let g = groups.len() as f64;
     let mut per_agg = Vec::with_capacity(num_aggs);
     for a in 0..num_aggs {
         let mut abs_err = 0.0;
         let mut true_mag = 0.0;
-        for (key, tvals) in &truth.groups {
+        for &(key, tvals) in &groups {
             let t = tvals[a];
             let e = estimate.groups.get(key).map_or(0.0, |v| v[a]);
             if t.is_nan() || e.is_nan() {
@@ -157,8 +166,8 @@ impl ErrorMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::GroupKey;
-    use std::collections::HashMap;
+    use std::collections::hash_map::RandomState;
+    use std::collections::{HashMap, HashSet};
 
     fn answer(entries: &[(&[u64], &[f64])]) -> QueryAnswer {
         let mut groups = HashMap::new();
@@ -224,6 +233,44 @@ mod tests {
         let m = ErrorMetrics::compute(&t, &e);
         assert!((m.avg_rel_err - 0.25).abs() < 1e-12, "{}", m.avg_rel_err);
         assert!(m.abs_over_true.is_finite());
+    }
+
+    #[test]
+    fn metrics_ignore_insertion_order_and_hasher() {
+        // Relative errors of very different magnitudes, so a float sum over
+        // them rounds differently in different orders.
+        let entries: Vec<(GroupKey, f64, f64)> = (0..64u64)
+            .map(|i| {
+                let t = 1.0 + i as f64;
+                let rel = [1.0, 1e-16, 3e-9, 7e-17][i as usize % 4] * (1.0 + i as f64 / 7.0);
+                (
+                    GroupKey(vec![i * 7919 % 101].into_boxed_slice()),
+                    t,
+                    t * (1.0 + rel),
+                )
+            })
+            .collect();
+        let build = |order: &[usize], pick: fn(&(GroupKey, f64, f64)) -> f64| {
+            let mut groups = HashMap::with_hasher(RandomState::new());
+            for &i in order {
+                let e = &entries[i];
+                groups.insert(e.0.clone(), vec![pick(e), 2.0 * pick(e)]);
+            }
+            QueryAnswer { groups }
+        };
+        let forward: Vec<usize> = (0..entries.len()).collect();
+        let reverse: Vec<usize> = forward.iter().rev().copied().collect();
+        let strided: Vec<usize> = (0..entries.len()).map(|i| i * 17 % 64).collect();
+        let mut seen = HashSet::new();
+        for order in [&forward, &reverse, &strided].iter().cycle().take(12) {
+            let truth = build(order, |e| e.1);
+            // The estimate misses one group and inserts in another order.
+            let mut estimate = build(&reverse, |e| e.2);
+            estimate.groups.remove(&entries[5].0);
+            let m = ErrorMetrics::compute(&truth, &estimate);
+            seen.insert((m.avg_rel_err.to_bits(), m.abs_over_true.to_bits()));
+        }
+        assert_eq!(seen.len(), 1, "metric bits depend on map order: {seen:?}");
     }
 
     #[test]

@@ -9,6 +9,8 @@
 //! bitmap bits survive only for the query's group-by columns, and the four
 //! selectivity slots are filled per partition.
 
+use std::ops::Range;
+
 use ps3_query::{CompiledPredicate, Query};
 use ps3_storage::{ColId, Table};
 
@@ -260,6 +262,26 @@ impl FeatureSchema {
         (0..self.dim()).filter(|&i| self.type_of(i) == ft).collect()
     }
 
+    /// The static-feature ranges `query` keeps (§3.2): the scalar block of
+    /// every column it uses, and the whole block, occurrence bitmap
+    /// included, of its group-by columns. Every other static dimension is
+    /// zero in the query's feature rows.
+    pub(crate) fn kept_ranges(&self, query: &Query) -> Vec<Range<usize>> {
+        query
+            .used_columns()
+            .into_iter()
+            .map(|c| {
+                let off = self.col_offset(c);
+                // Bitmaps are only computed for grouping columns (§3.2).
+                if query.group_by.contains(&c) {
+                    off..off + PER_COL
+                } else {
+                    off..off + SCALARS_PER_COL
+                }
+            })
+            .collect()
+    }
+
     /// Human-readable name of dimension `idx` given the table schema.
     pub fn name(&self, idx: usize, table: &Table) -> String {
         let sel = self.selectivity_offset();
@@ -300,11 +322,7 @@ impl QueryFeatures {
     ///   partition.
     pub fn compute(stats: &TableStats, table: &Table, query: &Query) -> Self {
         let schema = *stats.feature_schema();
-        let used = query.used_columns();
-        let mut gb_mask = vec![false; schema.num_cols()];
-        for c in &query.group_by {
-            gb_mask[c.index()] = true;
-        }
+        let kept = schema.kept_ranges(query);
         let compiled = query
             .predicate
             .as_ref()
@@ -315,15 +333,8 @@ impl QueryFeatures {
         for p in 0..stats.num_partitions() {
             let statics = &stats.static_features()[p];
             let mut row = vec![0.0; schema.dim()];
-            for c in &used {
-                let off = schema.col_offset(*c);
-                // Bitmaps are only computed for grouping columns (§3.2).
-                let end = if gb_mask[c.index()] {
-                    off + PER_COL
-                } else {
-                    off + SCALARS_PER_COL
-                };
-                row[off..end].copy_from_slice(&statics[off..end]);
+            for r in &kept {
+                row[r.clone()].copy_from_slice(&statics[r.clone()]);
             }
             let sel = match &compiled {
                 Some(cp) => selectivity_features_compiled(Some(cp), stats.partition(p)),

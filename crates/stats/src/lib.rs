@@ -11,7 +11,8 @@
 //! * [`features`] — the feature-vector schema of Table 2 and query-dependent
 //!   masking.
 //! * [`normalize`] — Appendix B normalization (log / cube-root transform,
-//!   then division by training-set means).
+//!   then division by training-set means), and the per-system normalized
+//!   static rows that query rows are assembled from.
 //! * [`persist`] — bit-exact byte codec for the whole catalog (the `STATS`
 //!   section of the flat artifact format).
 
@@ -25,5 +26,5 @@ pub mod selectivity;
 pub use builder::{StatsConfig, StorageBreakdown, TableStats};
 pub use column_stats::ColumnStats;
 pub use features::{FeatureSchema, FeatureType, QueryFeatures};
-pub use normalize::Normalizer;
+pub use normalize::{NormalizedStatics, Normalizer};
 pub use selectivity::{selectivity_features_compiled, SelectivityFeatures};

@@ -71,6 +71,7 @@ train/train_cold
 train/retrain_warm
 picker/full_pick_25pct
 picker/full_pick_default
+picker/cold_shape_pick
 serve/single_thread
 serve/multi_thread
 serve_sweep/six_budget_sweep_cached

@@ -2,7 +2,9 @@
 //! on the query's artifacts or built for one pick — selects exactly what
 //! the one-pass Algorithm 1 below selects, and leaves the RNG in the same
 //! state. The reference is the picker as it was before the split, kept
-//! here and nowhere else.
+//! here and nowhere else; it normalizes the raw feature rows itself with
+//! `Normalizer::apply_matrix`, so the system's normalized statics are
+//! checked too.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -24,6 +26,8 @@ use rand::{RngCore, SeedableRng};
 const FRACS: [f64; 10] = [0.01, 0.02, 0.05, 0.1, 0.15, 0.2, 0.3, 0.5, 0.75, 1.0];
 
 /// Algorithm 1 in one pass, as the picker ran it before plans existed.
+/// Also says whether it clustered a group that lost members to the
+/// outlier cap.
 fn reference_pick(
     system: &Ps3System,
     query: &Query,
@@ -32,7 +36,7 @@ fn reference_pick(
     budget: usize,
     rng: &mut StdRng,
     oracle: Option<&[f64]>,
-) -> PickOutcome {
+) -> (PickOutcome, bool) {
     let trained = &system.trained;
     let cfg = &trained.config;
     let n_parts = features.num_partitions();
@@ -75,7 +79,9 @@ fn reference_pick(
         .collect();
     let rest_budget = budget - chosen_outliers.len();
 
-    let groups: Vec<Vec<usize>> = if cfg.use_regressors {
+    // `trimmed[i]`: an outlier would have joined group `i` (the funnel
+    // places each partition by its own row alone).
+    let (groups, trimmed): (Vec<Vec<usize>>, Vec<bool>) = if cfg.use_regressors {
         let source = match oracle {
             Some(contributions) => ImportanceSource::Oracle {
                 contributions,
@@ -83,9 +89,13 @@ fn reference_pick(
             },
             None => ImportanceSource::Learned(&trained.models),
         };
-        importance_groups(&inliers, rows, &source)
+        let trimmed = importance_groups(&chosen_outliers, rows, &source)
+            .iter()
+            .map(|g| !g.is_empty())
+            .collect();
+        (importance_groups(&inliers, rows, &source), trimmed)
     } else {
-        vec![inliers]
+        (vec![inliers], vec![!chosen_outliers.is_empty()])
     };
     let group_sizes: Vec<usize> = groups.iter().map(Vec::len).collect();
     let alloc = allocate_samples(&group_sizes, rest_budget, cfg.alpha);
@@ -99,7 +109,8 @@ fn reference_pick(
     };
 
     let mut clustering_ms = 0.0;
-    for (group, &k) in groups.iter().zip(&alloc) {
+    let mut clustered_trimmed = false;
+    for ((group, &k), &trimmed) in groups.iter().zip(&alloc).zip(&trimmed) {
         if k == 0 || group.is_empty() {
             continue;
         }
@@ -112,6 +123,7 @@ fn reference_pick(
             }
         } else if cluster_ok {
             clustering_ms = 1.0;
+            clustered_trimmed |= trimmed;
             selection.extend(cluster_select(
                 group,
                 rows,
@@ -135,13 +147,14 @@ fn reference_pick(
         }
     }
 
-    PickOutcome {
+    let outcome = PickOutcome {
         selection,
         total_ms: 0.0,
         clustering_ms,
         group_sizes,
         num_outliers: chosen_outliers.len(),
-    }
+    };
+    (outcome, clustered_trimmed)
 }
 
 /// A selection as comparable bits.
@@ -158,6 +171,7 @@ struct Coverage {
     clustered: usize,
     with_outliers: usize,
     clustered_with_outliers: usize,
+    clustered_trimmed: usize,
 }
 
 /// Compare every plan-based pick path with the reference for one
@@ -177,18 +191,22 @@ fn check(
         oracle.is_some()
     );
 
+    let mut rows = artifacts.features.rows.clone();
+    system.trained.normalizer.apply_matrix(&mut rows);
+
     let mut rng = StdRng::seed_from_u64(seed);
-    let want = reference_pick(
+    let (want, clustered_trimmed) = reference_pick(
         system,
         query,
         &artifacts.features,
-        &artifacts.normalized,
+        &rows,
         budget,
         &mut rng,
         oracle,
     );
     let want_next = rng.next_u64();
     cov.clustered += usize::from(want.clustering_ms > 0.0);
+    cov.clustered_trimmed += usize::from(clustered_trimmed);
     cov.with_outliers += usize::from(want.num_outliers > 0);
     cov.clustered_with_outliers += usize::from(want.num_outliers > 0 && want.clustering_ms > 0.0);
 
@@ -208,18 +226,17 @@ fn check(
     let picker = Picker {
         trained: &system.trained,
         stats: &system.stats,
+        statics: system.normalized_statics(),
         pt: &system.pt,
     };
     let mut rng = StdRng::seed_from_u64(seed);
-    let got = picker.pick_normalized(
-        query,
-        &artifacts.features,
-        &artifacts.normalized,
-        budget,
-        &mut rng,
-        oracle,
-    );
+    let got = picker.pick_normalized(query, &artifacts.features, &rows, budget, &mut rng, oracle);
     same_outcome(&got, &mut rng, "fresh plan");
+
+    // A one-off plan through the picker's own normalization.
+    let mut rng = StdRng::seed_from_u64(seed);
+    let got = picker.pick_with_features(query, &artifacts.features, budget, &mut rng, oracle);
+    same_outcome(&got, &mut rng, "fresh plan, normalized statics");
 
     // A one-off plan through the system (raw features, renormalized).
     let mut rng = StdRng::seed_from_u64(seed);
@@ -311,12 +328,17 @@ fn sweep(kind: DatasetKind, seed: u64) {
     }
 
     assert!(cov.clustered > 0, "no pick clustered");
-    // The outlier cap must have fired, also beside clustered groups (the
-    // path that trims a cached projection).
+    // The outlier cap must have fired, also beside clustered groups, and
+    // it must have trimmed a group that was then clustered (the path that
+    // cuts a trimmed projection from the plan's).
     assert!(cov.with_outliers > 0, "no pick selected an outlier");
     assert!(
         cov.clustered_with_outliers > 0,
         "no pick clustered around selected outliers"
+    );
+    assert!(
+        cov.clustered_trimmed > 0,
+        "no pick clustered a group the outlier cap trimmed"
     );
 }
 
