@@ -88,16 +88,11 @@ pub struct Picker<'a> {
 }
 
 impl Picker<'_> {
-    /// Run Algorithm 1 end to end, computing features internally.
-    pub fn pick(&self, query: &Query, budget: usize, rng: &mut StdRng) -> PickOutcome {
-        let features = QueryFeatures::compute(self.stats, self.pt.table(), query);
-        self.pick_with_features(query, &features, budget, rng, None)
-    }
-
     /// Run Algorithm 1 with precomputed raw features, normalizing them
-    /// here from [`Self::statics`]. `oracle` substitutes true contributions
-    /// for the learned models (Appendix C.2). The serving path keeps the
-    /// query's [`PickPlan`] instead.
+    /// here from [`Self::statics`], through a one-off [`PickPlan`];
+    /// `total_ms` covers both halves. `oracle` substitutes true
+    /// contributions for the learned models (Appendix C.2). The serving
+    /// path keeps the query's [`PickPlan`] instead.
     pub fn pick_with_features(
         &self,
         query: &Query,
@@ -106,24 +101,9 @@ impl Picker<'_> {
         rng: &mut StdRng,
         oracle: Option<&[f64]>,
     ) -> PickOutcome {
-        let rows = self.statics.query_rows(query, features);
-        self.pick_normalized(query, features, &rows, budget, rng, oracle)
-    }
-
-    /// Run Algorithm 1 with raw features **and** their normalized rows
-    /// (`rows[p]` = normalized feature row of partition `p`): build a
-    /// one-off [`PickPlan`] and run it. `total_ms` covers both halves.
-    pub fn pick_normalized(
-        &self,
-        query: &Query,
-        features: &QueryFeatures,
-        rows: &[Vec<f64>],
-        budget: usize,
-        rng: &mut StdRng,
-        oracle: Option<&[f64]>,
-    ) -> PickOutcome {
         let started = Instant::now();
-        let plan = self.plan(query, features, rows, oracle);
+        let rows = self.statics.query_rows(query, features);
+        let plan = self.plan(query, features, &rows, oracle);
         self.run(&plan, budget, rng, started)
     }
 

@@ -32,8 +32,8 @@
 //!    first tenant) that drain the queue and execute requests. A request
 //!    that panics delivers its payload to the submitting tenant's
 //!    `Ticket::wait`, never to the pump.
-//! 4. **[`Ps3System`]** — per-table execution, fanned out on the router's
-//!    execution pool.
+//! 4. **[`Ps3System`]** — per-table execution through the system's one
+//!    answer pipeline, fanned out on the router's execution pool.
 //!
 //! [`crate::serve::ServeHandle`] is the single-table special case: it pins
 //! one table and answers synchronously on the caller (through the same
@@ -49,8 +49,6 @@ use ps3_runtime::{
     CacheStats, Mailbox, Permit, RequestQueue, Semaphore, SharedLru, SingleFlight,
     SubmitError as QueueError, ThreadPool,
 };
-
-use ps3_query::QuerySpec;
 
 use crate::planner::{plan_error_target, plan_latency_target, Budget, BudgetPlan, PlannerStats};
 use crate::serve::QueryRequest;
@@ -411,8 +409,9 @@ struct RouterCore {
 
 impl RouterCore {
     /// Resolve-or-execute through the answer cache, coalescing concurrent
-    /// misses. Bit-identical to a direct `Ps3System::answer_on` with a
-    /// [`query_rng`]-derived RNG: the cached value *is* that computation's
+    /// misses. A miss runs the system's answer pipeline once, so the result
+    /// is bit-identical to a direct [`Ps3System::answer_spec_on`] with a
+    /// [`spec_rng`]-derived RNG: the cached value *is* that computation's
     /// output, keyed by everything the computation depends on.
     ///
     /// A cold-key stampede — N requests racing on one never-seen key —
@@ -445,23 +444,17 @@ impl RouterCore {
             let system = Arc::clone(&entry.system.read().unwrap());
             let mut rng = spec_rng(&req.query, req.seed);
             let started = Instant::now();
-            // The progressive leader streams refining updates into the
-            // mailbox; both paths produce bit-identical final outcomes, so
-            // the cached value is path-independent. Sketch-class queries
-            // have no refining partials (a partial sketch merge is not a
-            // partial answer of the same shape) and always take the
-            // one-shot path.
-            let out = Arc::new(match (&req.query, progress) {
-                (QuerySpec::Scalar(q), Some(mailbox)) => system.answer_progressive_on(
-                    q,
-                    req.method,
-                    frac,
-                    &mut rng,
-                    &self.exec_pool,
-                    |update| mailbox.push(update),
-                ),
-                _ => system.answer_spec_on(&req.query, req.method, frac, &mut rng, &self.exec_pool),
-            });
+            // A progressive leader streams refining updates into the
+            // mailbox; the final outcome is bit-identical either way, so
+            // the cached value is path-independent.
+            let out = Arc::new(system.run(
+                &req.query,
+                req.method,
+                frac,
+                &mut rng,
+                &self.exec_pool,
+                progress,
+            ));
             entry.observe_cost(started.elapsed().as_secs_f64() * 1e3, out.selection.len());
             self.answers.insert(key, Arc::clone(&out));
             out
@@ -864,9 +857,9 @@ impl Router {
     /// Answer synchronously on the caller, through the answer cache but
     /// bypassing the queue — the single-table [`crate::serve::ServeHandle`]
     /// path. Bit-identical to the queued path and to a direct
-    /// `Ps3System::answer_on` with a [`query_rng`](crate::query_rng)-derived RNG. Declarative
-    /// budgets are planned first; [`Self::answer_planned`] additionally
-    /// returns the plan.
+    /// [`Ps3System::answer_spec_on`] with a [`spec_rng`]-derived RNG.
+    /// Declarative budgets are planned first; [`Self::answer_planned`]
+    /// additionally returns the plan.
     pub fn answer_now(&self, table: TableId, req: &QueryRequest) -> Arc<AnswerOutcome> {
         self.core.execute(table, req, None).0
     }
@@ -1081,7 +1074,7 @@ mod tests {
     use super::*;
     use crate::config::Ps3Config;
     use crate::system::Method;
-    use ps3_query::{AggExpr, Query};
+    use ps3_query::{AggExpr, Query, SketchQuery};
     use ps3_stats::{StatsConfig, TableStats};
     use ps3_storage::table::TableBuilder;
     use ps3_storage::{ColumnMeta, ColumnType, PartitionedTable, Schema};
@@ -1591,6 +1584,76 @@ mod tests {
         assert!(warm.take_progress().is_empty(), "cache hits do not stream");
         assert!(Arc::ptr_eq(&warm.wait(), &streamed));
         router.shutdown();
+    }
+
+    #[test]
+    fn progressive_sketch_tickets_stream_nothing_and_match_the_one_shot_run() {
+        let system = tiny_system(33, 160);
+        let bytes = ps3_sketch::codec::answer_sketch_to_bytes;
+        for query in [
+            SketchQuery::percentile(ps3_storage::ColId(0), 0.5),
+            SketchQuery::distinct(ps3_storage::ColId(1)),
+            SketchQuery::top_k(ps3_storage::ColId(1), 2),
+        ] {
+            // An 8-partition read: a scalar query would stream refinements.
+            let req = QueryRequest::new(query.clone(), Method::Random, 0.5, 21);
+            // Each run gets its own router, so both execute cold.
+            let router = Router::builder()
+                .table("t", Arc::clone(&system))
+                .pump_workers(0)
+                .build();
+            let ticket = router
+                .tenant("streamer", None)
+                .submit(req.clone().progressive())
+                .unwrap();
+            let progressed = Arc::new(AtomicU64::new(0));
+            {
+                let progressed = Arc::clone(&progressed);
+                ticket.on_progress(move || {
+                    progressed.fetch_add(1, Ordering::SeqCst);
+                });
+            }
+            router.drain_queued(1);
+            assert!(
+                ticket.take_progress().is_empty(),
+                "{query:?}: sketch requests stream no partials"
+            );
+            assert_eq!(progressed.load(Ordering::SeqCst), 0, "{query:?}");
+            let streamed = ticket.wait();
+            assert_eq!(router.stats().executions, 1, "{query:?}: executed cold");
+
+            let fresh = Router::builder()
+                .table("t", Arc::clone(&system))
+                .pump_workers(0)
+                .build();
+            let one_shot = fresh.answer_now(fresh.table_id("t").unwrap(), &req);
+            assert_eq!(streamed.answer, one_shot.answer, "{query:?}");
+            // Bit-identical up to the wall-clock picker timing.
+            assert_eq!(
+                streamed.meta.error_estimate, one_shot.meta.error_estimate,
+                "{query:?}"
+            );
+            assert_eq!(streamed.meta.partitions_read, one_shot.meta.partitions_read);
+            assert_eq!(streamed.meta.planned_frac, one_shot.meta.planned_frac);
+            assert_eq!(streamed.meta.exact, one_shot.meta.exact);
+            assert_eq!(
+                bytes(
+                    streamed
+                        .sketch
+                        .as_ref()
+                        .expect("sketch answers carry a sketch")
+                ),
+                bytes(
+                    one_shot
+                        .sketch
+                        .as_ref()
+                        .expect("sketch answers carry a sketch")
+                ),
+                "{query:?}: merged sketch bytes"
+            );
+            router.shutdown();
+            fresh.shutdown();
+        }
     }
 
     #[test]

@@ -367,8 +367,9 @@ mod tests {
             .iter()
             .map(|&frac| {
                 let mut rng = query_rng(&q, 11);
+                let spec = QuerySpec::from(q.clone());
                 h.system()
-                    .answer_on(&q, Method::Ps3, frac, &mut rng, h.router().pool())
+                    .answer_spec_on(&spec, Method::Ps3, frac, &mut rng, h.router().pool())
             })
             .collect();
         assert_eq!(fanned.len(), serial.len());

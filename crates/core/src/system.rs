@@ -9,6 +9,13 @@
 //! results a pure function of `(query, method, budget, seed)` — the same
 //! request answered on eight threads is bit-identical on all of them.
 //!
+//! Every answer — scalar or sketch class, one-shot or progressive, from a
+//! direct call or through the router — runs one staged pipeline:
+//! artifacts → select → execute → estimate/merge. [`Ps3System::answer`],
+//! [`Ps3System::answer_seeded`] and [`Ps3System::answer_spec_on`] are
+//! one-line entry points into it; progressive refinement is an optional
+//! sink on the execute stage, not a second copy of the pipeline.
+//!
 //! Raw [`QueryFeatures`] are served from a bounded LRU keyed by
 //! [`Query::fingerprint`], so budget sweeps and repeated predicate shapes
 //! skip `QueryFeatures::compute` — the dominant pre-picking cost — and the
@@ -22,11 +29,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use ps3_query::{
-    execute_partials_on, execute_partitions_compiled_totals_on, execute_table, AggExpr, AggFunc,
-    CompiledQuery, CompiledSketchQuery, GroupKey, PartialAnswer, Query, QueryAnswer, QuerySpec,
-    SketchFunc, SketchQuery, WeightedPart,
+    execute_partials_on, execute_table, AggExpr, AggFunc, CompiledQuery, CompiledSketchQuery,
+    GroupKey, PartialAnswer, Query, QueryAnswer, QuerySpec, SketchFunc, SketchQuery, WeightedPart,
 };
-use ps3_runtime::{CacheStats, SharedLru, ThreadPool};
+use ps3_runtime::{CacheStats, Mailbox, SharedLru, ThreadPool};
 use ps3_sketch::{AnswerSketch, DistinctSketch};
 use ps3_stats::{NormalizedStatics, QueryFeatures, TableStats};
 use ps3_storage::PartitionedTable;
@@ -520,7 +526,134 @@ impl Ps3System {
         frac: f64,
         rng: &mut StdRng,
     ) -> AnswerOutcome {
-        self.answer_on(query, method, frac, rng, &ThreadPool::global())
+        let spec = QuerySpec::Scalar(query.clone());
+        self.run(&spec, method, frac, rng, &ThreadPool::global(), None)
+    }
+
+    /// [`Self::answer`] with the RNG derived from `(query, seed)` via
+    /// [`query_rng`] — the serving entry point: same request, same seed,
+    /// same answer, from any thread.
+    pub fn answer_seeded(
+        &self,
+        query: &Query,
+        method: Method,
+        frac: f64,
+        seed: u64,
+    ) -> AnswerOutcome {
+        self.answer(query, method, frac, &mut query_rng(query, seed))
+    }
+
+    /// Answer a [`QuerySpec`] of either class with partition execution
+    /// pinned to `pool` (a 1-worker pool executes serially on the caller);
+    /// the result is bit-identical across pools. The router's uncached path
+    /// runs the same pipeline.
+    ///
+    /// A sketch-class query (`PERCENTILE` / `COUNT(DISTINCT)` / `TOP_K`)
+    /// picks partitions exactly like a scalar query — the picker sees a
+    /// `COUNT(*)` proxy with the same predicate, so every method, feature
+    /// computation, and exclusion applies unchanged — then builds one
+    /// answer sketch per picked partition with the fused kernels and
+    /// merges them. The merged sketch is confluent: bit-identical to a
+    /// single pass over the concatenated picked rows, whatever order the
+    /// picker produced. Error semantics per class (see [`ErrorEstimate`]'s
+    /// honesty rules):
+    ///
+    /// * `PERCENTILE` — rank-error CI: the sketch's own quantiles at
+    ///   `p ± 1.96·√(p(1−p)/n)` widened by the sketch's relative value
+    ///   error `alpha`; never exact (the sketch itself approximates).
+    /// * `COUNT(DISTINCT)` — the merged estimate is *unscaled* (distinct
+    ///   counts do not extrapolate linearly), so a partial selection
+    ///   honestly reports NaN; a covering selection reports the standard
+    ///   HLL error. Never exact.
+    /// * `TOP_K` — weighted per-key count estimates through the same
+    ///   estimator scalar `COUNT` uses; exact when the selection provably
+    ///   covers every qualifying partition at weight 1 (counts are exact).
+    pub fn answer_spec_on(
+        &self,
+        spec: &QuerySpec,
+        method: Method,
+        frac: f64,
+        rng: &mut StdRng,
+        pool: &ThreadPool,
+    ) -> AnswerOutcome {
+        self.run(spec, method, frac, rng, pool, None)
+    }
+
+    /// The answer pipeline every entry point runs, for both query classes.
+    /// Its stages:
+    ///
+    /// 1. **artifacts** — the query's cached features, compiled kernels and
+    ///    pick plan (a sketch query's come from its `COUNT(*)` proxy);
+    /// 2. **select** — the method's weighted partition choice;
+    /// 3. **execute** — the selected partitions on `pool`;
+    /// 4. **estimate/merge** — the weighted combination and its error
+    ///    estimate (scalar), or the confluent sketch merge (sketch).
+    ///
+    /// With a `progress` sink, a scalar selection executes in at most four
+    /// batches; after each non-final batch the sink receives the weighted
+    /// combination of the prefix read so far plus its error estimate. The
+    /// outcome is **bit-identical** with or without a sink: both add the
+    /// same per-partition partials in the same selection order, and
+    /// batching never reorders an `f64` accumulation. Sketch queries
+    /// ignore the sink: a partial sketch merge is not a partial answer of
+    /// the same shape.
+    pub(crate) fn run(
+        &self,
+        spec: &QuerySpec,
+        method: Method,
+        frac: f64,
+        rng: &mut StdRng,
+        pool: &ThreadPool,
+        progress: Option<&Mailbox<ProgressUpdate>>,
+    ) -> AnswerOutcome {
+        let proxy;
+        let query = match spec {
+            QuerySpec::Scalar(q) => q,
+            QuerySpec::Sketch(q) => {
+                proxy = sketch_proxy(q);
+                &proxy
+            }
+        };
+        let artifacts = self.artifacts_for(query);
+        let (selection, picker_ms) = self.select_prepared(
+            query,
+            &artifacts.features,
+            PlanSource::Cached(&artifacts.plan),
+            method,
+            frac,
+            rng,
+        );
+        let covering = self.selection_is_exact(&artifacts.features, frac, &selection);
+        let (answer, error_estimate, exact, sketch) = match spec {
+            QuerySpec::Scalar(q) => {
+                let (answer, estimate) = self.combine_weighted(
+                    q,
+                    &artifacts.compiled,
+                    &selection,
+                    covering,
+                    pool,
+                    progress,
+                );
+                (answer, estimate, covering, None)
+            }
+            QuerySpec::Sketch(q) => {
+                let (answer, estimate, exact, merged) =
+                    self.merge_sketches(q, &selection, covering, pool);
+                (answer, estimate, exact, Some(merged))
+            }
+        };
+        AnswerOutcome {
+            answer,
+            meta: AnswerMeta {
+                partitions_read: selection.len() as u32,
+                picker_ms,
+                error_estimate,
+                planned_frac: frac,
+                exact,
+            },
+            selection,
+            sketch,
+        }
     }
 
     /// True when `selection` provably reproduces the exact answer: the
@@ -546,208 +679,74 @@ impl Ps3System {
             .all(|p| weight_of.get(&p) == Some(&1.0))
     }
 
-    /// Assemble [`AnswerMeta`] from a selection and its per-partition slot
-    /// totals (the estimator's input). Exact selections short-circuit to a
-    /// zero-error estimate.
-    fn build_meta(
+    /// The execute and estimate stages for a scalar query: run `selection`
+    /// through [`execute_partials_on`] (whole, or in the batches a
+    /// `progress` sink sees), combine the partials with their weights in
+    /// selection order, and estimate the error from the per-partition slot
+    /// totals. A `covering` selection short-circuits to a zero-error
+    /// estimate.
+    fn combine_weighted(
         &self,
         query: &Query,
-        features: &QueryFeatures,
-        frac: f64,
-        picker_ms: f64,
+        compiled: &CompiledQuery,
         selection: &[WeightedPart],
-        totals: &[Vec<f64>],
-    ) -> AnswerMeta {
-        let funcs: Vec<AggFunc> = query.aggregates.iter().map(|a| a.func).collect();
-        let exact = self.selection_is_exact(features, frac, selection);
-        let error_estimate = if exact {
-            ErrorEstimate::exact_for(funcs.len())
-        } else {
-            let weights: Vec<f64> = selection.iter().map(|wp| wp.weight).collect();
-            estimate_from_totals(&funcs, totals, &weights, self.num_partitions())
-        };
-        AnswerMeta {
-            partitions_read: selection.len() as u32,
-            picker_ms,
-            error_estimate,
-            planned_frac: frac,
-            exact,
-        }
-    }
-
-    /// [`Self::answer`] with partition execution pinned to `pool` (a
-    /// 1-worker pool executes serially on the caller). The serving layer
-    /// uses this to keep batch fan-out and per-query fan-out on one pool;
-    /// the result is bit-identical across pools.
-    pub fn answer_on(
-        &self,
-        query: &Query,
-        method: Method,
-        frac: f64,
-        rng: &mut StdRng,
+        covering: bool,
         pool: &ThreadPool,
-    ) -> AnswerOutcome {
-        let artifacts = self.artifacts_for(query);
-        let (selection, picker_ms) = self.select_prepared(
-            query,
-            &artifacts.features,
-            PlanSource::Cached(&artifacts.plan),
-            method,
-            frac,
-            rng,
-        );
-        let (answer, totals) =
-            execute_partitions_compiled_totals_on(&self.pt, &artifacts.compiled, &selection, pool);
-        let meta = self.build_meta(
-            query,
-            &artifacts.features,
-            frac,
-            picker_ms,
-            &selection,
-            &totals,
-        );
-        AnswerOutcome {
-            answer,
-            selection,
-            meta,
-            sketch: None,
-        }
-    }
-
-    /// [`Self::answer_on`], emitting refining [`ProgressUpdate`]s as
-    /// partition batches complete. The selection is split into at most four
-    /// batches; after each non-final batch, `on_update` receives the
-    /// weighted combination of the prefix read so far plus its error
-    /// estimate. The returned outcome is **bit-identical** to
-    /// [`Self::answer_on`] with the same arguments: both paths add the same
-    /// per-partition partials in the same selection order, and batching
-    /// never reorders an `f64` accumulation.
-    pub fn answer_progressive_on(
-        &self,
-        query: &Query,
-        method: Method,
-        frac: f64,
-        rng: &mut StdRng,
-        pool: &ThreadPool,
-        mut on_update: impl FnMut(ProgressUpdate),
-    ) -> AnswerOutcome {
-        let artifacts = self.artifacts_for(query);
-        let (selection, picker_ms) = self.select_prepared(
-            query,
-            &artifacts.features,
-            PlanSource::Cached(&artifacts.plan),
-            method,
-            frac,
-            rng,
-        );
+        progress: Option<&Mailbox<ProgressUpdate>>,
+    ) -> (QueryAnswer, ErrorEstimate) {
         let funcs: Vec<AggFunc> = query.aggregates.iter().map(|a| a.func).collect();
         let m = selection.len();
-        let batch = m.div_ceil(4).max(1);
+        let batch = if progress.is_some() { m.div_ceil(4) } else { m };
         let mut acc = PartialAnswer {
             groups: std::collections::HashMap::new(),
-            slots: artifacts.compiled.slot_count(),
+            slots: compiled.slot_count(),
         };
         let mut totals: Vec<Vec<f64>> = Vec::with_capacity(m);
         let mut weights: Vec<f64> = Vec::with_capacity(m);
-        let mut seq = 0u32;
-        for chunk in selection.chunks(batch) {
-            let partials = execute_partials_on(&self.pt, &artifacts.compiled, chunk, pool);
+        // Every batch but the last is followed by one update, so an
+        // update's sequence number is its batch's index.
+        for (seq, chunk) in selection.chunks(batch.max(1)).enumerate() {
+            let partials = execute_partials_on(&self.pt, compiled, chunk, pool);
             for (wp, part) in chunk.iter().zip(&partials) {
                 totals.push(part.slot_totals());
                 weights.push(wp.weight);
                 acc.add_weighted(part, wp.weight);
             }
             let done = totals.len();
-            if done < m {
+            if let Some(sink) = progress.filter(|_| done < m) {
                 let estimate =
                     estimate_from_totals(&funcs, &totals, &weights, self.num_partitions());
-                on_update(ProgressUpdate {
-                    seq,
+                sink.push(ProgressUpdate {
+                    seq: seq as u32,
                     partitions_done: done as u32,
                     partitions_total: m as u32,
                     answer: acc.finalize_funcs(&funcs),
                     rel_err: estimate.rel_err,
                 });
-                seq += 1;
             }
         }
-        let answer = artifacts.compiled.finalize(&acc);
-        let meta = self.build_meta(
-            query,
-            &artifacts.features,
-            frac,
-            picker_ms,
-            &selection,
-            &totals,
-        );
-        AnswerOutcome {
-            answer,
-            selection,
-            meta,
-            sketch: None,
-        }
+        let estimate = if covering {
+            ErrorEstimate::exact_for(funcs.len())
+        } else {
+            estimate_from_totals(&funcs, &totals, &weights, self.num_partitions())
+        };
+        (compiled.finalize(&acc), estimate)
     }
 
-    /// [`Self::answer_on`] for a [`QuerySpec`] of either class — the
-    /// router's uncached execution path. Scalar specs take the weighted
-    /// combination path unchanged; sketch specs take
-    /// [`Self::answer_sketch_on`].
-    pub fn answer_spec_on(
-        &self,
-        spec: &QuerySpec,
-        method: Method,
-        frac: f64,
-        rng: &mut StdRng,
-        pool: &ThreadPool,
-    ) -> AnswerOutcome {
-        match spec {
-            QuerySpec::Scalar(q) => self.answer_on(q, method, frac, rng, pool),
-            QuerySpec::Sketch(q) => self.answer_sketch_on(q, method, frac, rng, pool),
-        }
-    }
-
-    /// Answer a sketch-class query (`PERCENTILE` / `COUNT(DISTINCT)` /
-    /// `TOP_K`) approximately: pick partitions exactly like a scalar query
-    /// (the picker sees a `COUNT(*)` proxy with the same predicate, so
-    /// every method, feature computation, and exclusion applies
-    /// unchanged), build one answer sketch per picked partition with the
-    /// fused kernels, and merge. The merged sketch is confluent:
-    /// bit-identical to a single pass over the concatenated picked rows,
-    /// whatever order the picker produced.
-    ///
-    /// Error semantics per class (see [`ErrorEstimate`]'s honesty rules):
-    ///
-    /// * `PERCENTILE` — rank-error CI: the sketch's own quantiles at
-    ///   `p ± 1.96·√(p(1−p)/n)` widened by the sketch's relative value
-    ///   error `alpha`; never exact (the sketch itself approximates).
-    /// * `COUNT(DISTINCT)` — the merged estimate is *unscaled* (distinct
-    ///   counts do not extrapolate linearly), so a partial selection
-    ///   honestly reports NaN; a covering selection reports the standard
-    ///   HLL error. Never exact.
-    /// * `TOP_K` — weighted per-key count estimates through the same
-    ///   estimator scalar `COUNT` uses; exact when the selection provably
-    ///   covers every qualifying partition at weight 1 (counts are exact).
-    pub fn answer_sketch_on(
+    /// The execute and merge stages for a sketch query (error semantics on
+    /// [`Self::answer_spec_on`]): one answer sketch per selected
+    /// partition, merged; the derived answer, its error estimate, whether
+    /// it is exact, and the merged sketch.
+    fn merge_sketches(
         &self,
         query: &SketchQuery,
-        method: Method,
-        frac: f64,
-        rng: &mut StdRng,
+        selection: &[WeightedPart],
+        covering: bool,
         pool: &ThreadPool,
-    ) -> AnswerOutcome {
-        let proxy = sketch_proxy(query);
-        let artifacts = self.artifacts_for(&proxy);
-        let (selection, picker_ms) = self.select_prepared(
-            &proxy,
-            &artifacts.features,
-            PlanSource::Cached(&artifacts.plan),
-            method,
-            frac,
-            rng,
-        );
+    ) -> (QueryAnswer, ErrorEstimate, bool, AnswerSketch) {
         let compiled = CompiledSketchQuery::compile(self.pt.table(), query);
         let parts: Vec<AnswerSketch> = if selection.len() >= 8 && pool.workers() > 1 {
-            pool.map(&selection, |wp| {
+            pool.map(selection, |wp| {
                 compiled.sketch_partition(self.pt.table(), self.pt.rows(wp.partition))
             })
         } else {
@@ -760,7 +759,6 @@ impl Ps3System {
         for p in &parts {
             merged.merge_from(p);
         }
-        let covering = self.selection_is_exact(&artifacts.features, frac, &selection);
 
         let (answer, error_estimate, exact) = match (&merged, query.func) {
             (AnswerSketch::Quantile(s), SketchFunc::Percentile(p)) => {
@@ -817,7 +815,7 @@ impl Ps3System {
                 // Weighted per-key count estimates: Σ_j w_j · count_j(key),
                 // ranked by estimate (desc) with ascending key tie-break.
                 let mut weighted: std::collections::HashMap<u64, f64> = Default::default();
-                for (part, wp) in parts.iter().zip(&selection) {
+                for (part, wp) in parts.iter().zip(selection) {
                     if let AnswerSketch::TopK(t) = part {
                         for &(key, count) in t.entries() {
                             *weighted.entry(key).or_insert(0.0) += wp.weight * count as f64;
@@ -854,18 +852,7 @@ impl Ps3System {
             }
             _ => unreachable!("compiled sketch kind always matches the query func"),
         };
-        AnswerOutcome {
-            answer,
-            selection,
-            meta: AnswerMeta {
-                partitions_read: parts.len() as u32,
-                picker_ms,
-                error_estimate,
-                planned_frac: frac,
-                exact,
-            },
-            sketch: Some(merged),
-        }
+        (answer, error_estimate, exact, merged)
     }
 
     /// The single-pass whole-table answer sketch for `query` — the oracle
@@ -873,20 +860,6 @@ impl Ps3System {
     pub fn exact_sketch(&self, query: &SketchQuery) -> AnswerSketch {
         let table = self.pt.table();
         CompiledSketchQuery::compile(table, query).sketch_partition(table, 0..table.num_rows())
-    }
-
-    /// [`Self::answer`] with the RNG derived from `(query, seed)` via
-    /// [`query_rng`] — the serving entry point: same request, same seed,
-    /// same answer, from any thread.
-    pub fn answer_seeded(
-        &self,
-        query: &Query,
-        method: Method,
-        frac: f64,
-        seed: u64,
-    ) -> AnswerOutcome {
-        let mut rng = query_rng(query, seed);
-        self.answer(query, method, frac, &mut rng)
     }
 }
 
@@ -1044,12 +1017,13 @@ mod tests {
             vec![ps3_storage::ColId(1)],
         );
         let pool = ThreadPool::new(2);
-        let mut rng = query_rng(&q, 9);
-        let one_shot = sys.answer_on(&q, Method::Ps3, 0.5, &mut rng, &pool);
-        let mut updates = Vec::new();
-        let mut rng = query_rng(&q, 9);
-        let progressive =
-            sys.answer_progressive_on(&q, Method::Ps3, 0.5, &mut rng, &pool, |u| updates.push(u));
+        let spec = QuerySpec::from(q);
+        let mut rng = spec_rng(&spec, 9);
+        let one_shot = sys.run(&spec, Method::Ps3, 0.5, &mut rng, &pool, None);
+        let sink = Mailbox::new();
+        let mut rng = spec_rng(&spec, 9);
+        let progressive = sys.run(&spec, Method::Ps3, 0.5, &mut rng, &pool, Some(&sink));
+        let updates = sink.drain();
         assert_eq!(
             one_shot.answer, progressive.answer,
             "final progressive answer must be bit-identical to one-shot"
@@ -1289,7 +1263,7 @@ mod tests {
                 // the cached-answer key space did not move.
                 let mut rng_q = query_rng(&q, seed);
                 let mut rng_s = spec_rng(&spec, seed);
-                let a = sys.answer_on(&q, method, 0.25, &mut rng_q, &pool);
+                let a = sys.answer(&q, method, 0.25, &mut rng_q);
                 let b = sys.answer_spec_on(&spec, method, 0.25, &mut rng_s, &pool);
                 assert_eq!(a.answer, b.answer, "{method:?} seed {seed}");
                 assert_eq!(a.meta.error_estimate, b.meta.error_estimate);

@@ -17,8 +17,8 @@ use ps3_core::{AnswerMeta, QueryRequest};
 use ps3_query::QueryAnswer;
 
 use crate::proto::{
-    encode_frame_at_into, ErrorFrame, Frame, FrameBuffer, PartialFrame, ProtoError, RequestFrame,
-    ResponseFrame, DEFAULT_MAX_FRAME, PROTO_VERSION,
+    encode_frame_into, ErrorFrame, Frame, FrameBuffer, PartialFrame, ProtoError, RequestFrame,
+    ResponseFrame, DEFAULT_MAX_FRAME,
 };
 
 /// Queued-but-unsent request bytes above this threshold force a flush on
@@ -76,11 +76,10 @@ pub struct RemoteAnswer {
     pub answer: QueryAnswer,
     /// How the answer was produced: partitions read, picker latency, the
     /// planned fraction, exactness, and per-aggregate error estimates —
-    /// the same [`AnswerMeta`] the router reports locally. Answers from a
-    /// v1 server carry the explicit "no signal" meta.
+    /// the same [`AnswerMeta`] the router reports locally.
     pub meta: AnswerMeta,
-    /// The merged answer sketch behind a sketch-class answer (v3) —
-    /// `None` for scalar answers.
+    /// The merged answer sketch behind a sketch-class answer — `None` for
+    /// scalar answers.
     pub sketch: Option<ps3_sketch::AnswerSketch>,
 }
 
@@ -203,7 +202,7 @@ impl NetClient {
         }
         let request_id = self.next_id;
         let frame = Frame::Request(RequestFrame::from_request(request_id, req)?);
-        encode_frame_at_into(&frame, PROTO_VERSION, &mut self.outgoing)?;
+        encode_frame_into(&frame, &mut self.outgoing)?;
         self.next_id += 1;
         Ok(request_id)
     }

@@ -37,10 +37,9 @@
 //!    [`on_progress`](ps3_core::Ticket::on_progress) hook pokes the same
 //!    waker).
 //!
-//! Each connection speaks whatever protocol version its own frames carry:
-//! the server answers a v1 request with v1 bytes and a v2 request with v2
-//! bytes, so old clients keep working unchanged (they simply cannot
-//! express declarative budgets or progressive streaming).
+//! The server speaks one protocol version ([`crate::proto::PROTO_VERSION`]);
+//! a frame carrying any other version byte is answered with
+//! [`ErrorCode::UnsupportedVersion`] and the connection closes.
 //!
 //! A client that disconnects mid-request just gets its connection state
 //! dropped; its in-flight executions complete in the router (and still
@@ -64,7 +63,7 @@ use ps3_runtime::{Mailbox, ThreadPool};
 use crate::outbuf::OutBuf;
 use crate::proto::{
     ErrorCode, ErrorFrame, Frame, FrameBuffer, PartialFrame, ProtoError, RequestFrame,
-    ResponseFrame, DEFAULT_MAX_FRAME, MIN_PROTO_VERSION,
+    ResponseFrame, DEFAULT_MAX_FRAME,
 };
 
 /// Tuning knobs for [`NetServer::bind`].
@@ -280,10 +279,6 @@ struct Conn {
     tenant: Tenant,
     /// Accepted requests awaiting completion, by request id.
     in_flight: HashMap<u64, Ticket>,
-    /// The protocol version of the peer's most recent frame — replies go
-    /// out in the same dialect. Starts at the oldest supported version
-    /// (pre-decode errors must be readable by anyone).
-    peer_version: u8,
     /// Close once the write buffer drains (set after a framing error).
     close_after_flush: bool,
     /// Torn down at the end of the current iteration.
@@ -291,12 +286,11 @@ struct Conn {
 }
 
 impl Conn {
-    /// Queue a frame for delivery at the peer's version, degrading
-    /// over-cap frames to typed refusals (see [`crate::outbuf`]). Bytes
+    /// Queue a frame for delivery, degrading over-cap frames to typed refusals (see [`crate::outbuf`]). Bytes
     /// move at the end of the wakeup, when [`Conn::flush`] gathers the
     /// whole queue into one `writev`.
     fn send(&mut self, frame: &Frame, max_frame: u32) {
-        self.out.push_frame(frame, self.peer_version, max_frame);
+        self.out.push_frame(frame, max_frame);
     }
 
     /// Gather-write as much buffered output as the socket accepts.
@@ -544,7 +538,6 @@ impl ShardLoop {
                 out: OutBuf::new(),
                 tenant,
                 in_flight: HashMap::new(),
-                peer_version: MIN_PROTO_VERSION,
                 close_after_flush: false,
                 dead: false,
             },
@@ -555,8 +548,7 @@ impl ShardLoop {
     /// Turn every undelivered progress update into a [`PartialFrame`] on
     /// its connection's write queue. Driven by the `(token, request_id)`
     /// pairs the `on_progress` hooks recorded; a dead connection's updates
-    /// are dropped with it. Only v2 peers receive partials — and only v2
-    /// peers can ask (a v1 request cannot carry the progressive flag).
+    /// are dropped with it.
     fn deliver_progress(&mut self) {
         let max_frame = self.config.max_frame;
         for (token, request_id) in self.me.progressed.drain() {
@@ -681,10 +673,6 @@ fn read_ready(
     loop {
         match conn.inbound.next_frame() {
             Ok(Some(frame)) => {
-                // Answer in the dialect the peer just spoke.
-                if let Some(v) = conn.inbound.last_version() {
-                    conn.peer_version = v;
-                }
                 match frame {
                     Frame::Request(req) => submit(conn, token, me, shared, max_frame, req),
                     _ => {

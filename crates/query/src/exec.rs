@@ -3,9 +3,10 @@
 //! Execution is compiled: [`execute_partition`] and friends lower the query
 //! through [`crate::kernel::CompiledQuery`] (once per call — cache the
 //! compiled program by [`Query::fingerprint`] to amortize across partitions
-//! and requests, as `execute_partitions*` and the serving layer do). The
-//! original scalar interpreter survives as the `#[cfg(test)]` oracle the
-//! property tests compare against bit-for-bit.
+//! and requests, as the serving layer does before its one pooled call,
+//! [`execute_partials_on`]). The original scalar interpreter survives as
+//! the `#[cfg(test)]` oracle the property tests compare against
+//! bit-for-bit.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -218,26 +219,16 @@ pub fn execute_table(pt: &PartitionedTable, query: &Query) -> QueryAnswer {
     cq.finalize(&acc)
 }
 
-/// Execute over a weighted selection of partitions and combine (§2.4).
+/// Execute over a weighted selection of partitions and combine (§2.4),
+/// serially and in selection order: the reference the pooled path
+/// ([`execute_partials_on`]) matches bit for bit.
 pub fn execute_partitions(
     pt: &PartitionedTable,
     query: &Query,
     selection: &[WeightedPart],
 ) -> QueryAnswer {
-    execute_partitions_compiled(pt, &CompiledQuery::compile(pt.table(), query), selection)
-}
-
-/// [`execute_partitions`] with a pre-compiled query (the serving path's
-/// cache hands these out).
-pub fn execute_partitions_compiled(
-    pt: &PartitionedTable,
-    cq: &CompiledQuery,
-    selection: &[WeightedPart],
-) -> QueryAnswer {
-    let mut acc = PartialAnswer {
-        groups: HashMap::new(),
-        slots: cq.slot_count(),
-    };
+    let cq = CompiledQuery::compile(pt.table(), query);
+    let mut acc = PartialAnswer::empty(query);
     for wp in selection {
         let part = cq.execute_partition(pt.table(), pt.rows(wp.partition));
         acc.add_weighted(&part, wp.weight);
@@ -254,76 +245,20 @@ pub const PARALLEL_EXEC_MIN_PARTS: usize = 8;
 /// sub-microsecond, so pool task overhead would dominate tiny tables.
 pub const PARALLEL_EXEC_MIN_ROWS: usize = 65_536;
 
-/// The unconditional fan-out: partials computed on `pool` from one shared
-/// compiled program, combined *in selection order with the same weights*,
-/// so the result is bit-identical to the serial path — parallelism never
-/// perturbs a seeded experiment.
-pub(crate) fn fan_out_partitions(
-    pt: &PartitionedTable,
-    cq: &CompiledQuery,
-    selection: &[WeightedPart],
-    pool: &ps3_runtime::ThreadPool,
-) -> QueryAnswer {
-    let partials = pool.scope_map(selection.len(), |i| {
-        cq.execute_partition(pt.table(), pt.rows(selection[i].partition))
-    });
-    let mut acc = PartialAnswer {
-        groups: HashMap::new(),
-        slots: cq.slot_count(),
-    };
-    for (wp, part) in selection.iter().zip(&partials) {
-        acc.add_weighted(part, wp.weight);
-    }
-    cq.finalize(&acc)
-}
-
-/// [`execute_partitions`] fanned out over `pool` when it pays for itself:
-/// the pool has real parallelism (>1 worker) and the selection clears both
-/// the partition-count and total-row thresholds. Serial otherwise — a
-/// 1-worker pool in particular makes this an honest single-threaded path.
-pub fn execute_partitions_on(
-    pt: &PartitionedTable,
-    query: &Query,
-    selection: &[WeightedPart],
-    pool: &ps3_runtime::ThreadPool,
-) -> QueryAnswer {
-    execute_partitions_compiled_on(
-        pt,
-        &CompiledQuery::compile(pt.table(), query),
-        selection,
-        pool,
-    )
-}
-
-/// [`execute_partitions_on`] with a pre-compiled query.
-pub fn execute_partitions_compiled_on(
-    pt: &PartitionedTable,
-    cq: &CompiledQuery,
-    selection: &[WeightedPart],
-    pool: &ps3_runtime::ThreadPool,
-) -> QueryAnswer {
-    let rows: usize = selection.iter().map(|wp| pt.rows(wp.partition).len()).sum();
-    if pool.workers() <= 1
-        || selection.len() < PARALLEL_EXEC_MIN_PARTS
-        || rows < PARALLEL_EXEC_MIN_ROWS
-    {
-        return execute_partitions_compiled(pt, cq, selection);
-    }
-    fan_out_partitions(pt, cq, selection, pool)
-}
-
 /// Per-partition partial answers for a weighted selection, in selection
-/// order, fanned out over `pool` under the same thresholds as
-/// [`execute_partitions_compiled_on`]. Weights are *not* applied — callers
-/// combine with [`PartialAnswer::add_weighted`] in selection order, which
-/// keeps any downstream combination bit-identical to the one-shot paths
-/// (each slot's accumulation sequence is the selection order regardless of
-/// how partials were produced or batched).
+/// order — the one pooled execution call. The selection fans out over
+/// `pool` when that pays for itself: the pool has real parallelism (>1
+/// worker) and the selection clears both [`PARALLEL_EXEC_MIN_PARTS`] and
+/// [`PARALLEL_EXEC_MIN_ROWS`]. Serial otherwise — a 1-worker pool in
+/// particular makes this an honest single-threaded path.
 ///
-/// This is the building block for answers that need more than the combined
-/// result: the serving layer's error estimator reads per-partition
-/// [`PartialAnswer::slot_totals`], and progressive serving combines prefix
-/// batches incrementally.
+/// Weights are *not* applied — callers combine with
+/// [`PartialAnswer::add_weighted`] in selection order, which keeps any
+/// downstream combination bit-identical to [`execute_partitions`] (each
+/// slot's accumulation sequence is the selection order regardless of how
+/// partials were produced or batched). The serving layer's error estimator
+/// reads per-partition [`PartialAnswer::slot_totals`], and progressive
+/// serving combines prefix batches incrementally.
 pub fn execute_partials_on(
     pt: &PartitionedTable,
     cq: &CompiledQuery,
@@ -340,15 +275,27 @@ pub fn execute_partials_on(
             .map(|wp| cq.execute_partition(pt.table(), pt.rows(wp.partition)))
             .collect();
     }
+    fan_out_partials(pt, cq, selection, pool)
+}
+
+/// The fan-out behind [`execute_partials_on`]'s gate: partials computed on
+/// `pool` from one shared compiled program, returned in selection order.
+/// Crate-visible so the property tests can force it on tables too small to
+/// clear the gate.
+pub(crate) fn fan_out_partials(
+    pt: &PartitionedTable,
+    cq: &CompiledQuery,
+    selection: &[WeightedPart],
+    pool: &ps3_runtime::ThreadPool,
+) -> Vec<PartialAnswer> {
     pool.scope_map(selection.len(), |i| {
         cq.execute_partition(pt.table(), pt.rows(selection[i].partition))
     })
 }
 
-/// [`execute_partitions_compiled_on`] that additionally returns each
+/// [`execute_partials_on`] combined with the selection's weights, plus each
 /// selected partition's *unweighted* per-slot totals (in selection order).
-/// The answer is combined from the same partials in the same order, so it
-/// is bit-identical to the plain path.
+/// The answer is bit-identical to [`execute_partitions`].
 pub fn execute_partitions_compiled_totals_on(
     pt: &PartitionedTable,
     cq: &CompiledQuery,
@@ -365,15 +312,6 @@ pub fn execute_partitions_compiled_totals_on(
         acc.add_weighted(part, wp.weight);
     }
     (cq.finalize(&acc), totals)
-}
-
-/// [`execute_partitions_on`] over the shared workspace pool.
-pub fn execute_partitions_parallel(
-    pt: &PartitionedTable,
-    query: &Query,
-    selection: &[WeightedPart],
-) -> QueryAnswer {
-    execute_partitions_on(pt, query, selection, &ps3_runtime::ThreadPool::global())
 }
 
 #[cfg(test)]
@@ -563,12 +501,16 @@ mod tests {
         // serial) to prove the parallel combine is bit-identical.
         let pool = ps3_runtime::ThreadPool::new(4);
         let cq = CompiledQuery::compile(t.table(), &q);
-        let parallel = fan_out_partitions(&t, &cq, &sel, &pool);
+        let mut acc = PartialAnswer::empty(&q);
+        for (wp, part) in sel.iter().zip(&fan_out_partials(&t, &cq, &sel, &pool)) {
+            acc.add_weighted(part, wp.weight);
+        }
+        let parallel = cq.finalize(&acc);
         assert_eq!(serial, parallel, "parallel combine must be bit-identical");
-        // And the adaptive wrappers (serial here, under the row threshold)
-        // agree too.
-        assert_eq!(serial, execute_partitions_on(&t, &q, &sel, &pool));
-        assert_eq!(serial, execute_partitions_parallel(&t, &q, &sel));
+        // And the gated pooled call (serial here, under the row threshold)
+        // agrees too.
+        let (pooled, _) = execute_partitions_compiled_totals_on(&t, &cq, &sel, &pool);
+        assert_eq!(serial, pooled);
     }
 
     #[test]
@@ -585,7 +527,7 @@ mod tests {
             .collect();
         let pool = ps3_runtime::ThreadPool::new(2);
         let cq = CompiledQuery::compile(t.table(), &q);
-        let plain = execute_partitions_compiled_on(&t, &cq, &sel, &pool);
+        let plain = execute_partitions(&t, &q, &sel);
         let (ans, totals) = execute_partitions_compiled_totals_on(&t, &cq, &sel, &pool);
         assert_eq!(plain, ans, "totals variant must not perturb the answer");
         assert_eq!(totals.len(), sel.len());

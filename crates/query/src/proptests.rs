@@ -4,14 +4,14 @@
 //! to the pre-refactor scalar interpreter (kept in [`crate::oracle`]) on
 //! arbitrary in-scope queries and tables: identical group keys, identical
 //! accumulator slot bits (NaNs compared by bit pattern, not `==`), and the
-//! serial / forced-parallel / compiled execution paths must agree with each
+//! serial / pooled / forced-parallel execution paths must agree with each
 //! other per seed.
 
 use proptest::prelude::*;
 
 use crate::ast::{AggExpr, Clause, CmpOp, Predicate, Query, ScalarExpr};
 use crate::exec::{
-    execute_partitions, execute_partitions_compiled, fan_out_partitions, PartialAnswer,
+    execute_partitions, execute_partitions_compiled_totals_on, fan_out_partials, PartialAnswer,
     QueryAnswer, WeightedPart,
 };
 use crate::kernel::{cmp_kernel, membership_kernel, CompiledQuery, TargetSet, DENSE_DICT_LIMIT};
@@ -215,8 +215,9 @@ proptest! {
         }
     }
 
-    /// Combined: serial interpretation, serial compiled, and the forced
-    /// parallel fan-out all produce bit-identical weighted answers.
+    /// Combined: serial interpretation, the serial reference, the gated
+    /// pooled call, and the forced parallel fan-out all produce
+    /// bit-identical weighted answers.
     #[test]
     fn serial_parallel_kernel_agree(pt in arb_table(), query in arb_query(), wseed in 0u32..1000) {
         let selection: Vec<WeightedPart> = (0..pt.num_partitions())
@@ -236,11 +237,15 @@ proptest! {
         let oracle = acc.finalize(&query);
 
         let serial = execute_partitions(&pt, &query, &selection);
-        let compiled = execute_partitions_compiled(&pt, &cq, &selection);
         let pool = ps3_runtime::ThreadPool::new(3);
-        let parallel = fan_out_partitions(&pt, &cq, &selection, &pool);
+        let (pooled, _) = execute_partitions_compiled_totals_on(&pt, &cq, &selection, &pool);
+        let mut acc = PartialAnswer::empty(&query);
+        for (wp, part) in selection.iter().zip(&fan_out_partials(&pt, &cq, &selection, &pool)) {
+            acc.add_weighted(part, wp.weight);
+        }
+        let parallel = cq.finalize(&acc);
 
-        for (name, ans) in [("serial", &serial), ("compiled", &compiled), ("parallel", &parallel)] {
+        for (name, ans) in [("serial", &serial), ("pooled", &pooled), ("parallel", &parallel)] {
             if let Err(e) = bits_eq_answer(&oracle, ans) {
                 prop_assert!(false, "{name} diverged from oracle: {e}\nquery {query:?}");
             }

@@ -16,6 +16,7 @@ use std::thread;
 use ps3::core::{query_rng, Method, Ps3Config, QueryRequest, Router};
 use ps3::data::{DatasetConfig, DatasetKind, ScaleProfile};
 use ps3::net::{NetClient, NetServer};
+use ps3::query::QuerySpec;
 
 fn main() -> std::io::Result<()> {
     println!("training the table (the once-per-deployment cost)...");
@@ -45,8 +46,9 @@ fn main() -> std::io::Result<()> {
                     let remote = client.request(&req).expect("served");
                     let mut rng = query_rng(&query, req.seed);
                     let frac = req.budget.as_fraction().expect("explicit fraction");
+                    let spec = QuerySpec::from(query);
                     let direct =
-                        system.answer_on(&query, Method::Ps3, frac, &mut rng, router.pool());
+                        system.answer_spec_on(&spec, Method::Ps3, frac, &mut rng, router.pool());
                     assert_eq!(
                         remote.answer, direct.answer,
                         "wire answers must be bit-identical to direct execution"

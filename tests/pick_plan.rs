@@ -222,18 +222,13 @@ fn check(
         assert_eq!(rng.next_u64(), want_next, "{path} RNG state: {ctx}");
     };
 
-    // A one-off plan through the picker.
+    // A one-off plan through the picker's own normalization.
     let picker = Picker {
         trained: &system.trained,
         stats: &system.stats,
         statics: system.normalized_statics(),
         pt: &system.pt,
     };
-    let mut rng = StdRng::seed_from_u64(seed);
-    let got = picker.pick_normalized(query, &artifacts.features, &rows, budget, &mut rng, oracle);
-    same_outcome(&got, &mut rng, "fresh plan");
-
-    // A one-off plan through the picker's own normalization.
     let mut rng = StdRng::seed_from_u64(seed);
     let got = picker.pick_with_features(query, &artifacts.features, budget, &mut rng, oracle);
     same_outcome(&got, &mut rng, "fresh plan, normalized statics");

@@ -3,7 +3,7 @@
 //!
 //! (a) the same `(table, query, method, frac, seed)` routed through the
 //!     bounded queue by 8 concurrent tenants is bit-identical to a direct
-//!     `Ps3System::answer_on` call;
+//!     `Ps3System::answer_spec_on` call;
 //! (b) re-running a 6-budget sweep after a warm first run performs zero
 //!     additional partition executions (answer-cache counters prove it);
 //! (c) submissions beyond queue capacity observe backpressure
@@ -20,6 +20,7 @@ use ps3::core::{
     ServeHandle, Ticket,
 };
 use ps3::data::{Dataset, DatasetConfig, DatasetKind, ScaleProfile};
+use ps3::query::QuerySpec;
 
 fn trained(kind: DatasetKind, seed: u64) -> (Dataset, Arc<Ps3System>) {
     let ds = DatasetConfig::new(kind, ScaleProfile::Tiny).build(seed);
@@ -38,7 +39,7 @@ fn selection_bits(out: &ps3::core::AnswerOutcome) -> Vec<(usize, u64)> {
 }
 
 /// (a) Eight tenants hammer one request through the queue concurrently;
-/// every ticket matches a direct, cache-free `answer_on` bit for bit.
+/// every ticket matches a direct, cache-free `answer_spec_on` bit for bit.
 #[test]
 fn eight_concurrent_tenants_through_the_queue_match_direct_execution() {
     let (ds, system) = trained(DatasetKind::Aria, 31);
@@ -77,7 +78,7 @@ fn eight_concurrent_tenants_through_the_queue_match_direct_execution() {
                     let out = tenant.submit(reqs[i].clone()).expect("open").wait();
                     assert_eq!(
                         out.answer, direct[i].answer,
-                        "tenant {t}: request {i} diverged from direct answer_on"
+                        "tenant {t}: request {i} diverged from direct answer_spec_on"
                     );
                     assert_eq!(
                         selection_bits(&out),
@@ -217,9 +218,11 @@ fn multi_table_routing_hits_the_right_system() {
             .expect("open")
             .wait();
         let mut rng = query_rng(&qa, 5);
-        let direct_a = aria.answer_on(&qa, Method::Ps3, 0.25, &mut rng, router.pool());
+        let spec_a = QuerySpec::from(qa.clone());
+        let direct_a = aria.answer_spec_on(&spec_a, Method::Ps3, 0.25, &mut rng, router.pool());
         let mut rng = query_rng(&qt, 5);
-        let direct_t = tpch.answer_on(&qt, Method::Ps3, 0.25, &mut rng, router.pool());
+        let spec_t = QuerySpec::from(qt.clone());
+        let direct_t = tpch.answer_spec_on(&spec_t, Method::Ps3, 0.25, &mut rng, router.pool());
         assert_eq!(out_a.answer, direct_a.answer, "telemetry query {i}");
         assert_eq!(out_t.answer, direct_t.answer, "lineitem query {i}");
     }
